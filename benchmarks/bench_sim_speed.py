@@ -35,7 +35,7 @@ def test_pipeline_sim_speed(benchmark):
     mem = wl.build_memory(_PCM)
 
     def run():
-        sim = PipelineSimulator(wl.program, mem.copy())
+        sim = PipelineSimulator(wl.program, mem.copy(), engine="interp")
         return sim.run().cycles
 
     cycles = benchmark(run)
@@ -53,7 +53,7 @@ def test_pipeline_with_asbr_speed(benchmark):
         unit = ASBRUnit.from_branch_infos(infos, bdt_update="execute")
         sim = PipelineSimulator(prog, mem.copy(),
                                 predictor=BimodalPredictor(512, 512),
-                                asbr=unit)
+                                asbr=unit, engine="interp")
         return sim.run().cycles
 
     benchmark(run)
@@ -94,18 +94,6 @@ def test_functional_blocks_speed(benchmark):
     assert retired > 5000
 
 
-def test_pipeline_blocks_speed(benchmark):
-    wl = get_workload("adpcm_enc")
-    mem = wl.build_memory(_PCM)
-
-    def run():
-        sim = PipelineSimulator(wl.program, mem.copy(), engine="blocks")
-        return sim.run().cycles
-
-    cycles = benchmark(run)
-    assert cycles > 5000
-
-
 def test_ooo_sim_speed(benchmark):
     wl = get_workload("adpcm_enc")
     mem = wl.build_memory(_PCM)
@@ -136,29 +124,15 @@ def test_pipeline_superblocks_speed(benchmark):
     assert cycles > 5000
 
 
-def test_functional_batch_speed(benchmark):
-    from repro.sim.batch import run_batch
-
-    wl = get_workload("adpcm_enc")
-    mems = [wl.build_memory(_PCM)] * 16
-
-    def run():
-        return run_batch(wl.program, mems).total_retired
-
-    retired = benchmark(run)
-    assert retired > 16 * 5000
-
-
 def test_sim_speed_summary(save_table):
     """Record simulator × engine throughput (ops/sec) under results/.
 
-    Best-of-3 wall-clock on the adpcm_enc workload: an 8-way matrix —
-    the functional simulator's interpreted, block-compiled and 64-lane
-    lockstep-batch engines; the pipeline's interpreted, block-compiled
-    and fold-specialized superblock engines (all three with the ASBR
-    unit and auxiliary predictor attached, and their ``PipelineStats``
-    asserted bit-identical); and the out-of-order backend at 1- and
-    2-wide.  Speedups are *per backend*, against the baseline named in
+    Best-of-3 wall-clock on the adpcm_enc workload: a 6-way matrix —
+    the functional simulator's interpreted and block-compiled engines;
+    the pipeline's interpreted loop and its compiled superblocks loop
+    (the default; both with the ASBR unit and auxiliary predictor
+    attached, and their ``PipelineStats`` asserted bit-identical); and
+    the out-of-order backend at 1- and 2-wide.  Speedups are *per backend*, against the baseline named in
     the ``baseline`` column — never across simulators, whose ops are
     different quantities.  The 2-wide OoO row reports raw cycles/s with
     no speedup: a wider machine retires the same program in *fewer*
@@ -177,13 +151,10 @@ def test_sim_speed_summary(save_table):
     import time
 
     from repro.experiments.common import render_table
-    from repro.sim.batch import run_batch
 
     wl = get_workload("adpcm_enc")
     prog = wl.program
     pcm = speech_like(8000, seed=42)
-    batch_lanes = 64
-    batch_pcm = speech_like(2000, seed=42)
     infos = [extract_branch_info(prog, prog.labels[n])
              for n in ("br_sign", "br_bit2", "br_bit1", "br_bit0")]
     rows = []
@@ -193,13 +164,7 @@ def test_sim_speed_summary(save_table):
     def measure(simulator, engine):
         best = work = 0
         for _ in range(3):
-            if simulator == "functional" and engine == "batch64":
-                mems = [wl.build_memory(batch_pcm)] * batch_lanes
-                t0 = time.perf_counter()
-                res = run_batch(prog, mems)
-                dt = time.perf_counter() - t0
-                ops, unit = res.total_retired, "instructions/s"
-            elif simulator == "functional":
+            if simulator == "functional":
                 sim = FunctionalSimulator(prog, wl.build_memory(pcm),
                                           engine=engine)
                 t0 = time.perf_counter()
@@ -232,9 +197,8 @@ def test_sim_speed_summary(save_table):
         return best, work, unit
 
     # (simulator, engines, baseline engine or None)
-    matrix = (("functional", ("interp", "blocks", "batch64"), "interp"),
-              ("pipeline", ("interp", "blocks", "superblocks"),
-               "interp"),
+    matrix = (("functional", ("interp", "blocks"), "interp"),
+              ("pipeline", ("interp", "superblocks"), "interp"),
               ("ooo", ("w1", "w2"), "w1"))
     rates = {}
     for simulator, engines, base in matrix:
@@ -262,16 +226,14 @@ def test_sim_speed_summary(save_table):
                     round(speedup, 3) if speedup is not None else None,
             }
 
-    # the three pipeline engines must be measuring the same machine
-    assert pipeline_stats["blocks"] == pipeline_stats["interp"]
+    # both pipeline engines must be measuring the same machine
     assert pipeline_stats["superblocks"] == pipeline_stats["interp"]
 
     save_table("sim_speed", render_table(
         ["simulator", "engine", "unit", "ops/sec", "work per run",
          "baseline", "speedup"], rows,
         "Simulator throughput (adpcm_enc, %d samples, pipeline rows "
-        "with ASBR, batch row %d lanes x %d samples, best of 3)"
-        % (len(pcm), batch_lanes, len(batch_pcm))))
+        "with ASBR, best of 3)" % len(pcm)))
 
     try:
         rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
@@ -285,7 +247,6 @@ def test_sim_speed_summary(save_table):
         "git_rev": rev,
         "date": time.strftime("%Y-%m-%d"),
         "workload": "adpcm_enc", "samples": len(pcm), "reps": 3,
-        "batch_lanes": batch_lanes, "batch_samples": len(batch_pcm),
         "engines": engines_json,
     }
     top = os.path.join(os.path.dirname(os.path.dirname(

@@ -1,17 +1,16 @@
-"""CI perf-smoke gate: compiled/batched engines must earn their keep.
+"""CI perf-smoke gate: the compiled pipeline loop must earn its keep.
 
 A coarse anti-regression check, not a tight threshold: it first proves
 compiled-vs-interpreted equivalence on a quick sweep (both simulators,
-with and without ASBR/bimodal, superblocks included) and lockstep-batch
-vs serial equivalence over divergent lanes, then races the engines on
-the ADPCM workload and fails if
+with and without ASBR/bimodal, plus the out-of-order backend against
+the functional model), then races the pipeline's default compiled loop
+against the interpreted ``tick()`` loop on the ADPCM workload and fails
+if the compiled loop is *slower* in either configuration the default
+serves:
 
-* the block-compiled pipeline engine is *slower* than interpreted,
-* the fold-specialized superblock engine is *slower* than blocks
-  (measured with the ASBR unit attached — the configuration the
-  specialization exists for), or
-* the batch functional engine is below **5x** the serial interpreter's
-  aggregate instructions/s on a 64-lane campaign.
+* plain — the default not-taken predictor, no ASBR;
+* ASBR — threshold-2 folding with the ``bimodal-512-512`` auxiliary
+  predictor, where the compiled fold checks are on the hot path.
 
 Run as a plain script::
 
@@ -30,7 +29,7 @@ from repro.predictors import make_predictor
 from repro.profiling import BranchProfiler, select_branches
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import OoOConfig, OoOSimulator
-from repro.sim.pipeline import PipelineSimulator
+from repro.sim.pipeline import DEFAULT_ENGINE, PipelineSimulator
 from repro.workloads import get_workload
 from repro.workloads.inputs import speech_like
 
@@ -72,11 +71,9 @@ def check_equivalence() -> None:
                                  ("bimodal-512-512", False),
                                  ("bimodal-512-512", True)):
         a = one(pred_spec, with_asbr, "interp")
-        for engine in ("blocks", "superblocks"):
-            b = one(pred_spec, with_asbr, engine)
-            assert a == b, ("pipeline stats diverged under %s asbr=%s "
-                            "engine=%s:\n%r\n%r"
-                            % (pred_spec, with_asbr, engine, a, b))
+        b = one(pred_spec, with_asbr, DEFAULT_ENGINE)
+        assert a == b, ("pipeline stats diverged under %s asbr=%s:"
+                        "\n%r\n%r" % (pred_spec, with_asbr, a, b))
 
     # out-of-order backend: architectural state and the retirement
     # ledger must match the functional model, folding on and off
@@ -96,42 +93,31 @@ def check_equivalence() -> None:
         assert stats.committed + stats.folds_committed \
             + stats.uncond_folds_committed == retired, \
             "ooo retirement ledger diverged (w%d)" % width
-    print("equivalence: OK (%s, %d samples, 3 pipeline configs x 3 "
+    print("equivalence: OK (%s, %d samples, 3 pipeline configs x 2 "
           "engines + 3 ooo configs)" % (WORKLOAD, EQUIV_SAMPLES))
 
 
-def check_batch_equivalence() -> None:
-    """Divergent-lane batch sweep vs serial functional runs."""
-    from repro.sim.batch import run_batch
-
+def race(with_asbr: bool) -> int:
+    """Best-of-REPS cycles/s, compiled default vs interp, one config."""
     wl = get_workload(WORKLOAD)
-    lanes = [(16, 3), (96, 11), (40, 7), (96, 11), (5, 0), (64, 42)]
-    mems = [wl.build_memory(wl.input_stream(speech_like(n, seed=s)))
-            for n, s in lanes]
-    res = run_batch(wl.program, mems)
-    for i, mem in enumerate(mems):
-        ref = FunctionalSimulator(wl.program, mem.copy())
-        retired = ref.run()
-        lr = res[i]
-        assert lr.error is None and lr.halted, "lane %d did not halt" % i
-        assert lr.instructions_retired == retired, \
-            "lane %d retired count diverged" % i
-        assert lr.regs == [ref.regs[r] for r in range(32)], \
-            "lane %d registers diverged" % i
-        assert lr.memory == ref.memory.snapshot(), \
-            "lane %d memory diverged" % i
-    print("batch equivalence: OK (%s, %d divergent lanes)"
-          % (WORKLOAD, len(lanes)))
-
-
-def race() -> int:
-    wl = get_workload(WORKLOAD)
-    pcm = speech_like(RACE_SAMPLES, seed=42)
+    stream = wl.input_stream(speech_like(RACE_SAMPLES, seed=42))
+    infos = None
+    if with_asbr:
+        profile = BranchProfiler().profile(wl.program,
+                                           wl.build_memory(stream))
+        infos = select_branches(profile, bit_capacity=16,
+                                bdt_update="execute").infos
 
     def best_rate(engine):
         best = 0.0
         for _ in range(REPS):
-            sim = PipelineSimulator(wl.program, wl.build_memory(pcm),
+            predictor = asbr = None       # None: not-taken, no ASBR
+            if with_asbr:
+                predictor = make_predictor("bimodal-512-512")
+                asbr = ASBRUnit.from_branch_infos(infos, capacity=16,
+                                                  bdt_update="execute")
+            sim = PipelineSimulator(wl.program, wl.build_memory(stream),
+                                    predictor=predictor, asbr=asbr,
                                     engine=engine)
             t0 = time.perf_counter()
             stats = sim.run()
@@ -139,103 +125,21 @@ def race() -> int:
             best = max(best, stats.cycles / dt)
         return best
 
+    label = "asbr" if with_asbr else "plain"
     interp = best_rate("interp")
-    blocks = best_rate("blocks")
-    ratio = blocks / interp
-    print("race: interp %.0f cycles/s, blocks %.0f cycles/s (%.2fx)"
-          % (interp, blocks, ratio))
-    if blocks < interp:
-        print("FAIL: blocks engine is slower than interp on %s"
-              % WORKLOAD, file=sys.stderr)
-        return 1
-    return 0
-
-
-def race_superblocks() -> int:
-    """Superblocks vs blocks with the ASBR unit attached — the fold
-    checks and predictor updates the superblock bodies inline are only
-    on the hot path in this configuration."""
-    wl = get_workload(WORKLOAD)
-    pcm = speech_like(RACE_SAMPLES, seed=42)
-    stream = wl.input_stream(pcm)
-    profile = BranchProfiler().profile(wl.program, wl.build_memory(stream))
-    sel = select_branches(profile, bit_capacity=16, bdt_update="execute")
-
-    def best_rate(engine):
-        best = 0.0
-        for _ in range(REPS):
-            asbr = ASBRUnit.from_branch_infos(sel.infos, capacity=16,
-                                              bdt_update="execute")
-            sim = PipelineSimulator(wl.program, wl.build_memory(stream),
-                                    predictor=make_predictor(
-                                        "bimodal-512-512"),
-                                    asbr=asbr, engine=engine)
-            t0 = time.perf_counter()
-            stats = sim.run()
-            dt = time.perf_counter() - t0
-            best = max(best, stats.cycles / dt)
-        return best
-
-    blocks = best_rate("blocks")
-    superblocks = best_rate("superblocks")
-    ratio = superblocks / blocks
-    print("race (asbr): blocks %.0f cycles/s, superblocks %.0f "
-          "cycles/s (%.2fx)" % (blocks, superblocks, ratio))
-    if superblocks < blocks:
-        print("FAIL: superblock engine is slower than blocks on %s "
-              "with ASBR" % WORKLOAD, file=sys.stderr)
-        return 1
-    return 0
-
-
-def race_batch() -> int:
-    """64-lane campaign: batch engine vs 64 serial interpreter runs.
-
-    The gate is aggregate architectural throughput — total lane
-    instructions per wall-clock second — and the batch engine must
-    clear 5x, the margin that makes fault campaigns and DSE rung
-    prefetches effectively free next to cycle-accurate work.
-    """
-    from repro.sim.batch import run_batch
-
-    lanes = 64
-    wl = get_workload(WORKLOAD)
-    mem = wl.build_memory(wl.input_stream(speech_like(2000, seed=42)))
-
-    serial_best = 0.0
-    for _ in range(REPS):
-        total = 0
-        t0 = time.perf_counter()
-        for _lane in range(lanes):
-            sim = FunctionalSimulator(wl.program, mem.copy())
-            total += sim.run()
-        dt = time.perf_counter() - t0
-        serial_best = max(serial_best, total / dt)
-
-    batch_best = 0.0
-    for _ in range(REPS):
-        mems = [mem] * lanes
-        t0 = time.perf_counter()
-        res = run_batch(wl.program, mems)
-        dt = time.perf_counter() - t0
-        assert res.total_retired == total, "batch retired diverged"
-        batch_best = max(batch_best, res.total_retired / dt)
-
-    ratio = batch_best / serial_best
-    print("race (batch): serial %.0f instr/s, batch(%d lanes) %.0f "
-          "instr/s (%.2fx)" % (serial_best, lanes, batch_best, ratio))
-    if ratio < 5.0:
-        print("FAIL: batch engine is below 5x serial functional interp "
-              "on a %d-lane campaign (%.2fx)" % (lanes, ratio),
-              file=sys.stderr)
+    compiled = best_rate(DEFAULT_ENGINE)
+    print("race (%s): interp %.0f cycles/s, %s %.0f cycles/s (%.2fx)"
+          % (label, interp, DEFAULT_ENGINE, compiled, compiled / interp))
+    if compiled < interp:
+        print("FAIL: the compiled loop is slower than interp on %s (%s)"
+              % (WORKLOAD, label), file=sys.stderr)
         return 1
     return 0
 
 
 def main() -> int:
     check_equivalence()
-    check_batch_equivalence()
-    return race() or race_superblocks() or race_batch()
+    return race(with_asbr=False) or race(with_asbr=True)
 
 
 if __name__ == "__main__":

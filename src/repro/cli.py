@@ -56,8 +56,9 @@ from repro.asm import assemble
 from repro.isa.registers import REG_NAMES
 from repro.predictors import evaluate_on_trace, make_predictor
 from repro.profiling import BranchProfiler, select_branches
-from repro.sim.functional import FunctionalSimulator, collect_branch_trace
-from repro.sim.pipeline import PipelineSimulator
+from repro.sim.functional import (ENGINES, FunctionalSimulator,
+                                  collect_branch_trace)
+from repro.sim.pipeline import DEFAULT_ENGINE, PipelineSimulator
 
 
 def _load_program(path: str):
@@ -276,7 +277,7 @@ def cmd_experiments(args) -> int:
     from repro.experiments.common import ExperimentSetup
     cache_dir = None if args.no_cache else args.cache_dir
     setup = ExperimentSetup(n_samples=args.samples, workers=args.workers,
-                            cache_dir=cache_dir, engine=args.engine)
+                            cache_dir=cache_dir)
     drivers = {
         "fig6": fig6.main, "fig7": fig7.main, "fig9": fig9.main,
         "fig10": fig10.main, "fig11": fig11.main,
@@ -353,8 +354,7 @@ def cmd_dse_run(args) -> int:
                               journal=journal,
                               task_timeout=args.task_timeout,
                               retries=args.retries,
-                              tolerant=args.tolerant,
-                              engine=args.engine)
+                              tolerant=args.tolerant)
         results = search.run(evaluator, space)
     print("dse: %d points evaluated on %s (%d simulated, %d from "
           "journal) -> %s"
@@ -496,15 +496,13 @@ def cmd_faults_report(args) -> int:
     return 0
 
 
-def _add_engine_option(p) -> None:
-    p.add_argument("--engine", default="interp",
-                   choices=("interp", "blocks", "superblocks"),
-                   help="execution engine: interpreted fast path, the "
-                        "block-compiled translation cache, or the "
-                        "fold-specialized superblock loop "
-                        "(all bit-identical; compiled engines fall "
-                        "back to interp when tracing/fault hooks are "
-                        "attached)")
+def _add_engine_option(p, default: str) -> None:
+    p.add_argument("--engine", default=default, choices=ENGINES,
+                   help="execution engine (default %s): 'interp' is the "
+                        "interpreted loop; 'blocks' and 'superblocks' "
+                        "both name the compiled engine, which is "
+                        "bit-identical and falls back to interp when "
+                        "tracing is attached" % default)
 
 
 def _add_sim_options(p) -> None:
@@ -527,7 +525,7 @@ def _add_sim_options(p) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit stats (and telemetry tables when "
                         "enabled) as JSON on stdout")
-    _add_engine_option(p)
+    _add_engine_option(p, DEFAULT_ENGINE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="functional (golden) simulation")
     p.add_argument("file")
     p.add_argument("--max-instructions", type=int, default=100_000_000)
-    _add_engine_option(p)
+    _add_engine_option(p, "interp")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("sim", help="cycle-accurate pipeline simulation")
@@ -604,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "addressed; safe to delete at any time)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the on-disk result cache")
-    _add_engine_option(p)
     p.set_defaults(fn=cmd_experiments)
 
     p = sub.add_parser("dse", help="design-space exploration "
@@ -669,7 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="quarantine failing points (journaled as "
                          "failed, retried on --resume) instead of "
                          "aborting the exploration")
-    _add_engine_option(sp)
     _add_dse_output_options(sp)
     sp.set_defaults(fn=cmd_dse_run)
 

@@ -74,15 +74,11 @@ class Evaluator:
                  journal: Optional[Journal] = None,
                  task_timeout: Optional[float] = None,
                  retries: int = 0,
-                 tolerant: bool = False,
-                 engine: str = "interp") -> None:
+                 tolerant: bool = False) -> None:
         self.benchmark = benchmark
         self.n_samples = n_samples
         self.seed = seed
         self.workers = workers
-        #: execution engine for every simulated spec; never part of a
-        #: journal or cache key (engines are bit-identical)
-        self.engine = engine
         self.cache = cache
         self.journal = journal
         #: hardened-runner knobs (see :func:`repro.runner.map_specs`).
@@ -96,7 +92,6 @@ class Evaluator:
         self.journal_hits = 0    # evaluations answered by the journal
         self.failed = 0          # evaluations quarantined (tolerant)
         self._baselines: Dict[int, PipelineStats] = {}  # n -> stats
-        self._func_instructions: Dict[int, int] = {}    # n -> retired
 
     # ------------------------------------------------------------------
     def _journal_get(self, point: DesignPoint,
@@ -112,8 +107,7 @@ class Evaluator:
         """Reference-core stats at one input size (memoised)."""
         n = self.n_samples if n_samples is None else n_samples
         if n not in self._baselines:
-            spec = BASELINE_POINT.to_spec(self.benchmark, n, self.seed,
-                                          engine=self.engine)
+            spec = BASELINE_POINT.to_spec(self.benchmark, n, self.seed)
             (stats, metrics), = run_sweep([spec], workers=1,
                                           cache=self.cache,
                                           collect_metrics=True)
@@ -125,39 +119,6 @@ class Evaluator:
                 self.journal.record_eval(BASELINE_POINT, self.benchmark,
                                          n, self.seed, vec)
         return self._baselines[n]
-
-    # ------------------------------------------------------------------
-    def prefetch_functional(self, sizes: Sequence[int]) -> Dict[int, int]:
-        """Golden-verify every rung input in one vectorized pass.
-
-        A budgeted search (:class:`~repro.dse.search.SuccessiveHalving`)
-        knows all its rung input sizes up front, and they all run the
-        same program — exactly the shape the lockstep batch engine
-        collapses: one :func:`repro.sim.batch.run_batch` call, one lane
-        per size.  Each lane's output is checked against the golden
-        model, so a broken workload/input combination fails here, in
-        milliseconds, instead of deep inside the first cycle-accurate
-        rung.  Returns (and memoises) the functional retire count per
-        size — the architectural work each rung's speedups are judged
-        over.  With ``tolerant`` set, a failing size is skipped (the
-        pipeline path will quarantine it properly) instead of raising.
-        """
-        from repro.runner.batch import FuncSpec, execute_func_specs
-
-        todo = [n for n in dict.fromkeys(sizes)
-                if n not in self._func_instructions]
-        if todo:
-            res = execute_func_specs(
-                [FuncSpec(self.benchmark, n, self.seed) for n in todo])
-            for n, r in zip(todo, res):
-                if isinstance(r, FailedResult):
-                    if self.tolerant:
-                        continue
-                    raise RuntimeError(
-                        "functional prefetch failed for %s at "
-                        "n_samples=%d: %s" % (self.benchmark, n, r.error))
-                self._func_instructions[n] = r.instructions
-        return dict(self._func_instructions)
 
     # ------------------------------------------------------------------
     def evaluate(self, points: Sequence[DesignPoint],
@@ -194,8 +155,7 @@ class Evaluator:
                         from_journal=False)
                 self.simulated += 1
         if pending:
-            specs = [p.to_spec(self.benchmark, n, self.seed,
-                               engine=self.engine)
+            specs = [p.to_spec(self.benchmark, n, self.seed)
                      for p in pending]
             results = run_sweep(specs, workers=self.workers,
                                 cache=self.cache, collect_metrics=True,

@@ -99,14 +99,7 @@ class SuccessiveHalving:
             space: ConfigSpace) -> List[EvalResult]:
         survivors: List[DesignPoint] = space.points()
         full = evaluator.n_samples
-        sizes = self.rung_sizes(full)
-        # all rung inputs golden-verify in one lockstep batch pass
-        # before any cycle-accurate work starts (and the functional
-        # retire count per rung is memoised for reporting)
-        prefetch = getattr(evaluator, "prefetch_functional", None)
-        if prefetch is not None:
-            prefetch(sizes)
-        for n in sizes:
+        for n in self.rung_sizes(full):
             results = evaluator.evaluate(survivors, n_samples=n)
             if n >= full:
                 return results

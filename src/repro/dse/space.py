@@ -26,6 +26,7 @@ from typing import Dict, List, Tuple
 
 from repro.asbr.folding import THRESHOLD_BY_UPDATE
 from repro.runner.pool import RunSpec
+from repro.sim.pipeline import DEFAULT_ENGINE
 
 BDT_UPDATES: Tuple[str, ...] = ("commit", "mem", "execute")
 
@@ -153,7 +154,7 @@ class DesignPoint:
         return base
 
     def to_spec(self, benchmark: str, n_samples: int,
-                seed: int, engine: str = "interp") -> RunSpec:
+                seed: int, engine: str = DEFAULT_ENGINE) -> RunSpec:
         """The :class:`RunSpec` evaluating this point on one workload.
 
         ``engine`` selects the execution engine; it is not part of the

@@ -54,10 +54,6 @@ def _default_cache_dir() -> Optional[str]:
     return os.environ.get("REPRO_CACHE_DIR") or None
 
 
-def _default_engine() -> str:
-    return os.environ.get("REPRO_ENGINE", "interp")
-
-
 @dataclass
 class ExperimentSetup:
     """One experimental context: input, caches of profiles and runs."""
@@ -68,9 +64,6 @@ class ExperimentSetup:
     bit_capacity: int = 16
     workers: int = field(default_factory=_default_workers)
     cache_dir: Optional[str] = field(default_factory=_default_cache_dir)
-    #: execution engine ("interp" | "blocks", or REPRO_ENGINE); results
-    #: are bit-identical, so it never enters memo or cache keys
-    engine: str = field(default_factory=_default_engine)
     _pcm: Optional[list] = field(default=None, repr=False)
     _profiles: Dict[str, BranchProfile] = field(default_factory=dict,
                                                 repr=False)
@@ -142,7 +135,7 @@ class ExperimentSetup:
         return RunSpec(benchmark=name, n_samples=self.n_samples,
                        seed=self.seed, predictor_spec=predictor_spec,
                        with_asbr=with_asbr, bit_capacity=cap,
-                       bdt_update=upd, engine=self.engine)
+                       bdt_update=upd)
 
     @staticmethod
     def _memo_key(spec: RunSpec) -> tuple:
@@ -223,7 +216,7 @@ class ExperimentSetup:
                 bdt_update=spec.bdt_update)
         result = wl.run_pipeline(self.pcm,
                                  predictor=make_predictor(predictor_spec),
-                                 asbr=asbr, engine=self.engine)
+                                 asbr=asbr)
         expected = wl.golden_output(self.pcm)
         if result.outputs != expected:
             raise AssertionError(

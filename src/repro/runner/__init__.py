@@ -13,10 +13,6 @@ configurations.  This package turns those requests into:
 * :func:`~repro.runner.pool.map_specs` — fan a spec list over a
   ``multiprocessing`` pool (``workers <= 1`` runs inline, bit-for-bit
   identically);
-* :class:`~repro.runner.batch.FuncSpec` — the functional-run sibling of
-  ``RunSpec``: :func:`map_specs` detects batchable ``FuncSpec`` groups
-  sharing a program digest and collapses each into one vectorized
-  :func:`repro.sim.batch.run_batch` call;
 * :class:`~repro.runner.cache.ResultCache` — content-addressed JSON
   store keyed by (program digest, input digest, config digest), so a
   re-run of a figure with unchanged code and inputs costs one file read
@@ -33,12 +29,6 @@ here; ``repro.cli experiments --workers N`` exposes it to users.
 """
 
 from repro.runner.aggregate import aggregate_metrics, sweep_metrics
-from repro.runner.batch import (
-    FuncResult,
-    FuncSpec,
-    execute_func_spec,
-    execute_func_specs,
-)
 from repro.runner.cache import (
     CACHE_VERSION,
     GCResult,
@@ -64,8 +54,6 @@ __all__ = [
     "CACHE_VERSION",
     "DeadlineExpired",
     "FailedResult",
-    "FuncResult",
-    "FuncSpec",
     "GCResult",
     "ResultCache",
     "RunSpec",
@@ -73,8 +61,6 @@ __all__ = [
     "VerifyResult",
     "parse_size",
     "aggregate_metrics",
-    "execute_func_spec",
-    "execute_func_specs",
     "execute_spec",
     "execute_spec_metrics",
     "key_for_spec",

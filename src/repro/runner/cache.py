@@ -169,7 +169,7 @@ def config_digest(spec: RunSpec) -> str:
     """Digest of the run configuration (spec fields + cache version).
 
     ``spec.engine`` is deliberately *excluded*: the interpreted and
-    block-compiled engines are bit-identical (locked by the golden and
+    compiled engines are bit-identical (locked by the golden and
     differential suites), so results cached under one engine are served
     to runs requesting the other.
     """

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.sim.pipeline import PipelineStats
+from repro.sim.pipeline import DEFAULT_ENGINE, PipelineStats
 
 #: selection baseline used by profile-driven branch selection; matches
 #: ExperimentSetup.selection (the paper's reference predictor).
@@ -48,10 +48,10 @@ class RunSpec:
     bdt_update: str = "execute"
     min_fold_fraction: float = 0.5
     min_count: int = 16
-    #: execution engine ("interp" | "blocks" | "superblocks"); never
-    #: part of the result cache key — all engines are bit-identical by
+    #: execution engine (one of ``repro.sim.ENGINES``); never part of
+    #: the result cache key — the engines are bit-identical by
     #: construction
-    engine: str = "interp"
+    engine: str = DEFAULT_ENGINE
     #: decoupled front end (:mod:`repro.frontend`); off by default so
     #: legacy specs keep their exact seed timing.  The five knobs below
     #: only matter when ``frontend`` is set but, like the ASBR selection
@@ -131,7 +131,8 @@ def _execute(spec: RunSpec, trace=None) -> PipelineStats:
                                  predictor=make_predictor(
                                      spec.predictor_spec),
                                  asbr=asbr, trace=trace,
-                                 engine=getattr(spec, "engine", "interp"),
+                                 engine=getattr(spec, "engine",
+                                                DEFAULT_ENGINE),
                                  frontend=frontend)
     if result.outputs != wl.golden_output(pcm):
         raise AssertionError(
@@ -475,51 +476,6 @@ def _map_pooled(specs: List[RunSpec], fn, procs: int,
     return results
 
 
-def _map_with_func_specs(specs: List, func_idx: List[int], workers: int,
-                         collect_metrics: bool,
-                         task_timeout: Optional[float], retries: int,
-                         backoff: float, on_error: str,
-                         on_result=None,
-                         deadline: Optional[float] = None) -> List:
-    """Mixed-spec path: batch the ``FuncSpec`` entries, pool the rest.
-
-    Functional specs are collapsed into vectorized
-    :func:`repro.sim.batch.run_batch` calls by
-    :func:`repro.runner.batch.execute_func_specs` — in-process, since
-    the lockstep engine replaces process fan-out for them — while the
-    remaining :class:`RunSpec` entries take the ordinary pooled path.
-    Results land back in their original slots.  Functional runs carry
-    no pipeline telemetry, so ``collect_metrics`` is rejected for a
-    mixed list rather than silently shaping results inconsistently.
-    """
-    from repro.runner.batch import execute_func_specs
-
-    if collect_metrics:
-        raise ValueError("collect_metrics is not supported for FuncSpec "
-                         "entries (functional runs have no pipeline "
-                         "telemetry)")
-    results: List = [None] * len(specs)
-    func_res = execute_func_specs([specs[i] for i in func_idx])
-    for i, r in zip(func_idx, func_res):
-        if isinstance(r, FailedResult) and on_error == "raise":
-            raise RuntimeError("%r: %s" % (r.spec, r.error))
-        results[i] = r
-        _notify(on_result, i, specs[i], r)
-    rest_idx = [i for i in range(len(specs)) if i not in set(func_idx)]
-    if rest_idx:
-        hook = None
-        if on_result is not None:
-            def hook(j, spec, result):
-                on_result(rest_idx[j], spec, result)
-        rest = map_specs([specs[i] for i in rest_idx], workers=workers,
-                         task_timeout=task_timeout, retries=retries,
-                         backoff=backoff, on_error=on_error,
-                         on_result=hook, deadline=deadline)
-        for i, r in zip(rest_idx, rest):
-            results[i] = r
-    return results
-
-
 def map_specs(specs: Sequence[RunSpec], workers: int = 0,
               collect_metrics: bool = False,
               task_timeout: Optional[float] = None,
@@ -530,13 +486,7 @@ def map_specs(specs: Sequence[RunSpec], workers: int = 0,
     """Execute every spec, returning results in input order.
 
     Each result is a ``PipelineStats``, or a ``(stats, metrics_dict)``
-    pair when ``collect_metrics`` is set.  The list may mix in
-    :class:`~repro.runner.batch.FuncSpec` entries (functional runs):
-    those sharing a program digest and budget are collapsed into one
-    vectorized :func:`repro.sim.batch.run_batch` call and yield
-    :class:`~repro.runner.batch.FuncResult` in their slots
-    (``collect_metrics`` is rejected for such lists — functional runs
-    carry no pipeline telemetry).  ``workers <= 1`` runs inline
+    pair when ``collect_metrics`` is set.  ``workers <= 1`` runs inline
     in this process — no multiprocessing import, no pickling,
     deterministic and debuggable.  Larger values fan out over a process
     pool; results are identical because both paths run the same function
@@ -580,14 +530,6 @@ def map_specs(specs: Sequence[RunSpec], workers: int = 0,
     if on_error not in ("raise", "return"):
         raise ValueError("on_error must be 'raise' or 'return'")
     specs = list(specs)
-    from repro.runner.batch import FuncSpec
-    func_idx = [i for i, s in enumerate(specs)
-                if isinstance(s, FuncSpec)]
-    if func_idx:
-        return _map_with_func_specs(specs, func_idx, workers,
-                                    collect_metrics, task_timeout,
-                                    retries, backoff, on_error,
-                                    on_result, deadline)
     fn = execute_spec_metrics if collect_metrics else execute_spec
     if workers <= 1 or len(specs) <= 1:
         results = []

@@ -75,6 +75,7 @@ from repro.serve.protocol import (
     spec_key,
     specs_from_wire,
 )
+from repro.sim.pipeline import DEFAULT_ENGINE
 from repro.telemetry.events import (
     SERVE_DEADLINE,
     SERVE_DRAIN,
@@ -631,7 +632,7 @@ class Server:
             "n_samples": obj.get("n_samples", 600),
             "seed": obj.get("seed", 20010618),
             "predictor_spec": "bimodal-2048",
-            "engine": obj.get("engine", "interp"),
+            "engine": obj.get("engine", DEFAULT_ENGINE),
         })
         points = space.points()
         n_points = obj.get("n_points")

@@ -6,36 +6,44 @@
   in-order single-issue pipeline with caches, a pluggable branch
   predictor, and optional ASBR branch folding; the measurement vehicle
   for every experiment in the paper.
-* :mod:`~repro.sim.blocks` — the block-compiled execution engine behind
-  ``engine="blocks"`` on both simulators: basic blocks are compiled to
-  specialized Python functions (content-addressed, memoised on disk),
-  bit-identical to the interpreted paths.
-* :mod:`~repro.sim.superblocks` — the fold-specialized execution engine
-  behind ``engine="superblocks"`` on the pipeline simulator: the ASBR
-  fold check, BDT update points and predictor updates are compiled into
-  the loop body, bit-identical to ``blocks`` and ``interp``.
-* :mod:`~repro.sim.batch` — NumPy lockstep batch functional engine
-  (:func:`~repro.sim.batch.run_batch`): one program over N lanes as
-  ``(32, N)`` array operations, exactly per-lane-equivalent to serial
-  :class:`~repro.sim.functional.FunctionalSimulator` runs.
 * :class:`~repro.sim.ooo.OoOSimulator` — cycle-accurate R10000-style
   out-of-order backend (rename, issue queue, active list, checkpoint
   recovery) sharing the in-order machine's fetch-side mechanisms
   (ASBR folding, decoupled front end) and architectural semantics.
+
+The functional and pipeline simulators each have two engines,
+``interp`` and one compiled engine, bit-identical to each other
+(:data:`ENGINES` lists the accepted names):
+
+* :mod:`~repro.sim.superblocks` — the pipeline's compiled loop, its
+  default (:data:`~repro.sim.pipeline.DEFAULT_ENGINE`): the ASBR fold
+  check, BDT update points and predictor updates are compiled into the
+  loop body.  ``engine="blocks"`` names the same loop.
+* :mod:`~repro.sim.blocks` — the functional simulator's compiled
+  engine (``engine="blocks"``, or its alias ``"superblocks"``): basic
+  blocks are compiled to specialized Python functions, memoised per
+  process.  The functional default stays ``interp``.
 """
 
-from repro.sim.batch import BatchResult, LaneResult, run_batch
-from repro.sim.blocks import BlockCache, CompiledBlocks, compile_blocks
+from repro.sim.blocks import CompiledBlocks, compile_blocks
 from repro.sim.functional import (
+    ENGINES,
     FunctionalSimulator,
     SimulationError,
     BranchRecord,
     collect_branch_trace,
 )
 from repro.sim.ooo import OoOConfig, OoOSimulator, OoOStats
-from repro.sim.pipeline import PipelineConfig, PipelineSimulator, PipelineStats
+from repro.sim.pipeline import (
+    DEFAULT_ENGINE,
+    PipelineConfig,
+    PipelineSimulator,
+    PipelineStats,
+)
 
 __all__ = [
+    "DEFAULT_ENGINE",
+    "ENGINES",
     "FunctionalSimulator",
     "SimulationError",
     "BranchRecord",
@@ -46,10 +54,6 @@ __all__ = [
     "OoOConfig",
     "OoOSimulator",
     "OoOStats",
-    "BlockCache",
     "CompiledBlocks",
     "compile_blocks",
-    "BatchResult",
-    "LaneResult",
-    "run_batch",
 ]

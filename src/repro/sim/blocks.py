@@ -1,14 +1,12 @@
-"""Block-compiled execution engine (a basic-block translation cache).
+"""Block-compiled functional engine (a basic-block translation cache).
 
-The decoded-dispatch fast paths still pay one Python-level indirect call
-per retired instruction (functional) or per occupied stage per cycle
-(pipeline).  This module removes that floor the way dynamic binary
-translators do: straight-line regions are compiled *once per program*
-into specialized Python functions, so the per-instruction work collapses
-into consecutive statements inside one frame.
+The functional simulator's plan loop still pays one Python-level
+indirect call per retired instruction.  This module removes that floor
+the way dynamic binary translators do: straight-line regions are
+compiled *once per program* into specialized Python functions, so the
+per-instruction work collapses into consecutive statements inside one
+frame.  (The pipeline's compiled loop is :mod:`repro.sim.superblocks`.)
 
-Functional engine
------------------
 :func:`discover_leaders` finds basic-block leaders (program entry,
 branch targets, branch/``jal`` fall-throughs).  For each leader,
 :func:`generate_source` emits one function containing the whole
@@ -38,46 +36,20 @@ point: the generated statements replicate the execution plans of
 :class:`~repro.sim.functional.FunctionalSimulator` expression by
 expression, and a *budget margin* keeps the fast loop from ever running
 past the instruction budget (the precise tail is single-stepped on the
-always-present plans).  ``tests/test_differential_random.py``,
-``tests/test_stats_golden.py`` and ``tests/test_blocks_engine.py``
-enforce the equivalence.
+always-present plans).  ``tests/test_differential_random.py`` and
+``tests/test_blocks_engine.py`` enforce the equivalence.
 
-Pipeline engine
----------------
-:func:`run_pipeline_blocks` is a statement-for-statement transcription
-of ``PipelineSimulator.tick()`` into one monolithic loop: all latch and
-stats state lives in locals, the EX dispatch runs on precomputed integer
-kind codes (``_Decoded.exk``), hazard checks use register bitmasks, and
-commit/squash recycle their slots through a free list so the steady
-state allocates nothing.  Cycle counts stay bit-identical (the golden
-locks run against both engines).
-
-Caching
--------
-Generated sources are memoized per process keyed on the program object
-(`id` + mutation ``version``) and content-addressed on disk by
-``program_digest`` using the same envelope discipline as
-:class:`repro.runner.cache.ResultCache` (version field, sha256 payload
-checksum verified on read, atomic temp-file replace, corrupt entries
-dropped) — sweep workers compile each workload once per machine, not
-once per RunSpec.
+Generated sources are memoized per process, keyed on the program object
+(``id`` + mutation ``version``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.isa.alu import MASK32, _op_div, _op_rem, _sra, to_signed
 from repro.isa.opcodes import Kind
 from repro.sim.functional import SimulationError
-
-#: bump when the generated code's shape or semantics change — stale
-#: on-disk artifacts are ignored, exactly like ResultCache entries
-BLOCKS_VERSION = 1
 
 #: superblock length cap: chains inline through unconditional transfers
 #: and fall-through leaders until they hit control flow or this many
@@ -358,8 +330,7 @@ def generate_source(program) -> str:
     order = sorted(leaders)
     meta: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
     out: List[str] = [
-        "# generated by repro.sim.blocks v%d -- do not edit"
-        % BLOCKS_VERSION,
+        "# generated by repro.sim.blocks -- do not edit",
         "def bind(r, read, write, ctl, S, D):",
     ]
     for L in order:
@@ -378,7 +349,7 @@ def generate_source(program) -> str:
 
 
 # ======================================================================
-# compiled artifacts and their caches
+# compiled artifacts and their process memo
 # ======================================================================
 class BoundBlocks:
     """One program's compiled blocks bound to one simulator's state."""
@@ -423,71 +394,6 @@ class CompiledBlocks:
         return BoundBlocks(D, pc_of, pcs_of, S, self.max_len)
 
 
-class BlockCache:
-    """On-disk store of generated sources, content-addressed by program.
-
-    Same envelope discipline as :class:`repro.runner.cache.ResultCache`:
-    a version field, a sha256 checksum of the payload verified on read,
-    atomic temp-file-then-replace writes, and corrupt or stale entries
-    silently dropped (the source is regenerated).
-    """
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, program) -> str:
-        from repro.runner.cache import _sha, program_digest
-        key = _sha("blocks", "v%d" % BLOCKS_VERSION,
-                   program_digest(program))
-        return os.path.join(self.root, key + ".blocks.json")
-
-    def get(self, program) -> Optional[str]:
-        path = self._path(program)
-        try:
-            with open(path, "r") as f:
-                entry = json.load(f)
-            if entry["version"] != BLOCKS_VERSION:
-                raise ValueError("stale blocks version")
-            source = entry["source"]
-            digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            if digest != entry["sha256"]:
-                raise ValueError("checksum mismatch")
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (KeyError, TypeError, ValueError, OSError):
-            try:
-                os.remove(path)     # corrupt: drop and regenerate
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        self.hits += 1
-        return source
-
-    def put(self, program, source: str) -> None:
-        os.makedirs(self.root, exist_ok=True)
-        path = self._path(program)
-        entry = {
-            "version": BLOCKS_VERSION,
-            "sha256": hashlib.sha256(source.encode("utf-8")).hexdigest(),
-            "source": source,
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(entry, f)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
-
-
 #: per-process translation memo: (id(program), mutation version) ->
 #: CompiledBlocks.  The artifact holds a strong program reference, so a
 #: live entry's id can never be reused by a different program.
@@ -495,37 +401,26 @@ _MEMO: Dict[Tuple[int, int], CompiledBlocks] = {}
 _MEMO_CAP = 128
 
 
-def compile_blocks(program, cache_dir: Optional[str] = None
-                   ) -> CompiledBlocks:
-    """Translate ``program``, consulting the process and disk caches.
+def compile_blocks(program) -> CompiledBlocks:
+    """Translate ``program``, consulting the process memo.
 
-    ``cache_dir`` defaults to ``$REPRO_BLOCKS_CACHE`` (unset: no disk
-    cache).  Mutating a program through ``replace_instr`` bumps its
-    ``version`` and naturally invalidates the process memo; the disk key
-    is the content digest, so it never goes stale.
+    Mutating a program through ``replace_instr`` bumps its ``version``
+    and so invalidates the memo entry.
     """
     key = (id(program), getattr(program, "version", 0))
     hit = _MEMO.get(key)
     if hit is not None and hit.program is program:
         return hit
-    if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_BLOCKS_CACHE") or None
-    disk = BlockCache(cache_dir) if cache_dir else None
-    source = disk.get(program) if disk is not None else None
-    if source is None:
-        source = generate_source(program)
-        if disk is not None:
-            disk.put(program, source)
-    art = CompiledBlocks(source, program)
+    art = CompiledBlocks(generate_source(program), program)
     if len(_MEMO) >= _MEMO_CAP:
         _MEMO.clear()
     _MEMO[key] = art
     return art
 
 
-def bind_functional(sim, cache_dir: Optional[str] = None) -> BoundBlocks:
+def bind_functional(sim) -> BoundBlocks:
     """Compile ``sim.program`` and bind it to ``sim``'s live state."""
-    art = compile_blocks(sim.program, cache_dir)
+    art = compile_blocks(sim.program)
     return art.bind(sim.regs.raw, sim.memory.read, sim.memory.write,
                     sim.ctl_writes.append)
 
@@ -598,636 +493,3 @@ def run_functional_blocks(sim, max_instructions: int) -> int:
     finally:
         sim.instructions_retired += S[2]
     return S[2]
-
-
-# ======================================================================
-# pipeline fast loop
-# ======================================================================
-def run_pipeline_blocks(sim):
-    """Monolithic fast twin of ``PipelineSimulator.run``/``tick``.
-
-    A statement-for-statement transcription of ``tick()`` with every
-    latch, flag and counter held in locals for the whole run, the EX
-    dispatch inlined on ``_Decoded`` integer codes (``exk`` for the
-    stage, ``aluk``/``condk``/``lfk`` for the hot ALU ops, zero-tests
-    and load fixups), the cache access and the not-taken/bimodal
-    predictors inlined with their state hoisted into locals, operand
-    forwarding and squash/redirect inlined, and retired/squashed slots
-    recycled through a free list.  State (latches, stats, cache
-    counters) is written back in ``finally`` so budget errors and
-    telemetry-free inspection see the same simulator the interpreted
-    loop would leave behind.  Bit-identical timing is locked by the
-    golden-stats suite.
-    """
-    from repro.predictors.bimodal import BimodalPredictor
-    from repro.predictors.simple import NotTakenPredictor
-    from repro.sim.pipeline import _Slot
-
-    stats = sim.stats
-    if sim.halted:
-        return stats
-    max_cycles = sim.config.max_cycles
-    asbr = sim.asbr
-    predictor = sim.predictor
-    pred_predict = predictor.predict
-    pred_update = predictor.update
-    # specialize the two predictors every paper configuration uses;
-    # exact-type checks so subclasses keep the generic call path
-    if type(predictor) is NotTakenPredictor:
-        pmode = 1
-        counters = p_mask = btb_tags = btb_targets = b_mask = None
-    elif type(predictor) is BimodalPredictor:
-        pmode = 2
-        counters = predictor._counters
-        p_mask = predictor._mask
-        btb = predictor.btb
-        btb_tags = btb._tags
-        btb_targets = btb._targets
-        b_mask = btb._mask
-    else:
-        pmode = 0
-        counters = p_mask = btb_tags = btb_targets = b_mask = None
-    regs = sim._reglist
-    mem_read = sim._mem_read
-    mem_write = sim._mem_write
-    dec = sim._dec
-    base = sim._text_base
-    end = sim._text_end
-    bdt_commit = sim._bdt_commit
-    rel_mem = sim._rel_mem
-    rel_ex = sim._rel_ex
-    pending = sim._pending_releases     # list identity is stable
-    foreign_decode = sim._foreign_decode
-    if asbr is not None:
-        try_fold = asbr.try_fold
-        acquire = asbr.producer_decoded
-        release = asbr.producer_value
-        cancel = asbr.producer_squashed
-        ctl_write = asbr.control_write
-    else:
-        try_fold = acquire = release = cancel = ctl_write = None
-
-    # cache geometry and statistics, hoisted (Cache.access inlined below)
-    icache = sim.icache
-    ic_sets = icache._sets
-    ic_shift = icache._block_shift
-    ic_smask = icache._set_mask
-    ic_assoc = icache.config.assoc
-    ic_pen = icache.config.miss_penalty
-    ic_wbpen = icache.config.writeback_penalty
-    ic_stats = icache.stats
-    ic_acc = ic_stats.accesses
-    ic_miss = ic_stats.misses
-    ic_wbk = ic_stats.writebacks
-    dcache = sim.dcache
-    dc_sets = dcache._sets
-    dc_shift = dcache._block_shift
-    dc_smask = dcache._set_mask
-    dc_assoc = dcache.config.assoc
-    dc_pen = dcache.config.miss_penalty
-    dc_wbpen = dcache.config.writeback_penalty
-    dc_stats = dcache.stats
-    dc_acc = dc_stats.accesses
-    dc_miss = dc_stats.misses
-    dc_wbk = dc_stats.writebacks
-
-    # latches and fetch state
-    s_if = sim.s_if
-    if_wait = sim.if_wait
-    s_id = sim.s_id
-    s_ex = sim.s_ex
-    s_mem = sim.s_mem
-    s_wb = sim.s_wb
-    fetch_pc = sim.fetch_pc
-    fetch_halted = sim._fetch_halted
-    suppress = sim._suppress_fetch
-    halted = False
-
-    # statistics counters
-    cycles = stats.cycles
-    committed = stats.committed
-    fetched = stats.fetched
-    squashed = stats.squashed
-    branches = stats.branches
-    mispredicts = stats.branch_mispredicts
-    folds = stats.folds_committed
-    uncond_folds = stats.uncond_folds_committed
-    lookups = stats.predictor_lookups
-    jump_bubbles = stats.jump_bubbles
-    jr_redirects = stats.jr_redirects
-    load_use = stats.load_use_stalls
-    istalls = stats.icache_miss_stalls
-    dstalls = stats.dcache_miss_stalls
-
-    pool = []       # retired/squashed slots, recycled at fetch
-
-    try:
-        while True:
-            if cycles >= max_cycles:
-                raise SimulationError(
-                    "cycle budget (%d) exhausted; fetch_pc=0x%x"
-                    % (max_cycles, fetch_pc))
-            cycles += 1
-            suppress = False
-
-            # ---- WB: commit ----------------------------------------
-            wb = s_wb
-            if wb is not None:
-                d = wb.d
-                dest = d.dest
-                if dest is not None and dest != 0:
-                    regs[dest] = wb.result & 4294967295
-                    if wb.acquired_reg is not None and bdt_commit:
-                        pending.append((dest, wb.result))
-                if wb.folded:
-                    folds += 1
-                if wb.uncond_folded:
-                    uncond_folds += 1
-                committed += 1
-                s_wb = None
-                if d.is_halt:
-                    # nothing younger may have architectural effect —
-                    # and pending releases die with the wrong path
-                    halted = True
-                    break
-                if d.is_ctl and asbr is not None:
-                    ctl_write(d.imm)
-                pool.append(wb)
-
-            # ---- MEM: first-cycle work -----------------------------
-            mem = s_mem
-            if mem is not None and not mem.mem_done:
-                d = mem.d
-                mem.mem_done = True
-                if d.is_load:
-                    addr = mem.mem_addr
-                    v = mem_read(addr, d.size)
-                    lf = d.lfk
-                    if lf == 1:                     # lw
-                        mem.result = v & 4294967295
-                    elif lf == 2:                   # lbu
-                        mem.result = v & 255
-                    elif lf == 3:                   # lhu
-                        mem.result = v & 65535
-                    elif lf == 4:                   # lb
-                        v &= 255
-                        mem.result = ((v - 256) & 4294967295
-                                      if v & 128 else v)
-                    elif lf == 5:                   # lh
-                        v &= 65535
-                        mem.result = ((v - 65536) & 4294967295
-                                      if v & 32768 else v)
-                    else:
-                        mem.result = d.load_fix(v)
-                    tag = addr >> dc_shift
-                    way = dc_sets[tag & dc_smask]
-                    dc_acc += 1
-                    if tag in way:
-                        way.move_to_end(tag)
-                        mem.mem_wait = 0
-                    else:
-                        dc_miss += 1
-                        extra = dc_pen
-                        if len(way) >= dc_assoc:
-                            _victim, dirty = way.popitem(last=False)
-                            if dirty:
-                                dc_wbk += 1
-                                extra += dc_wbpen
-                        way[tag] = False
-                        mem.mem_wait = extra
-                        dstalls += extra
-                elif d.is_store:
-                    addr = mem.mem_addr
-                    mem_write(addr, mem.store_val, d.size)
-                    tag = addr >> dc_shift
-                    way = dc_sets[tag & dc_smask]
-                    dc_acc += 1
-                    if tag in way:
-                        way.move_to_end(tag)
-                        way[tag] = True
-                        mem.mem_wait = 0
-                    else:
-                        dc_miss += 1
-                        extra = dc_pen
-                        if len(way) >= dc_assoc:
-                            _victim, dirty = way.popitem(last=False)
-                            if dirty:
-                                dc_wbk += 1
-                                extra += dc_wbpen
-                        way[tag] = True
-                        mem.mem_wait = extra
-                        dstalls += extra
-
-            # ---- EX: first-cycle work (may squash and redirect) ----
-            ex = s_ex
-            if ex is not None and not ex.ex_done:
-                ex.ex_done = True
-                d = ex.d
-                k = d.exk
-                if 1 <= k <= 3:                     # ALU_RRR/SHIFT_I/ALU_RRI
-                    rr = d.rs
-                    if rr == 0:
-                        a = 0
-                    elif mem is not None and mem.d.dest == rr:
-                        a = mem.result
-                    else:
-                        a = regs[rr]
-                    if k == 3:
-                        b2 = d.imm
-                    elif k == 2:
-                        b2 = d.shamt
-                    else:
-                        rr = d.rt
-                        if rr == 0:
-                            b2 = 0
-                        elif mem is not None and mem.d.dest == rr:
-                            b2 = mem.result
-                        else:
-                            b2 = regs[rr]
-                    ak = d.aluk
-                    if ak == 1:                     # add/addu
-                        ex.result = (a + b2) & 4294967295
-                    elif ak == 3:                   # and
-                        ex.result = a & b2
-                    elif ak == 4:                   # or
-                        ex.result = a | b2
-                    elif ak == 2:                   # sub/subu
-                        ex.result = (a - b2) & 4294967295
-                    elif ak == 8:                   # sll
-                        ex.result = (a << (b2 & 31)) & 4294967295
-                    elif ak == 9:                   # srl
-                        ex.result = (a & 4294967295) >> (b2 & 31)
-                    elif ak == 6:                   # slt (sign-bias trick)
-                        ex.result = (1 if ((a & 4294967295) ^ 2147483648)
-                                     < ((b2 & 4294967295) ^ 2147483648)
-                                     else 0)
-                    elif ak == 7:                   # sltu
-                        ex.result = (1 if (a & 4294967295)
-                                     < (b2 & 4294967295) else 0)
-                    elif ak == 5:                   # xor
-                        ex.result = a ^ b2
-                    else:                           # sra/mul/div/rem/nor
-                        ex.result = d.alu(a, b2)
-                elif k == 5:                        # LOAD
-                    rr = d.rs
-                    if rr == 0:
-                        a = 0
-                    elif mem is not None and mem.d.dest == rr:
-                        a = mem.result
-                    else:
-                        a = regs[rr]
-                    ex.mem_addr = (a + d.imm) & 4294967295
-                elif k == 8 or k == 7:              # BRANCH_Z / BRANCH_CMP
-                    rr = d.rs
-                    if rr == 0:
-                        a = 0
-                    elif mem is not None and mem.d.dest == rr:
-                        a = mem.result
-                    else:
-                        a = regs[rr]
-                    if k == 8:
-                        ck = d.condk
-                        if ck == 1:                 # ==0
-                            taken = a == 0
-                        elif ck == 2:               # !=0
-                            taken = a != 0
-                        elif ck == 3:               # <0
-                            taken = a >= 2147483648
-                        elif ck == 4:               # <=0
-                            taken = a == 0 or a >= 2147483648
-                        elif ck == 5:               # >0
-                            taken = 0 < a < 2147483648
-                        elif ck == 6:               # >=0
-                            taken = a < 2147483648
-                        else:
-                            taken = d.cond(a)
-                    else:
-                        rr = d.rt
-                        if rr == 0:
-                            bb = 0
-                        elif mem is not None and mem.d.dest == rr:
-                            bb = mem.result
-                        else:
-                            bb = regs[rr]
-                        taken = (a == bb) == d.eq_sense
-                    target = d.br_target
-                    actual = target if taken else d.pc4
-                    branches += 1
-                    if pmode == 2:                  # bimodal, inlined
-                        pp = ex.pc
-                        pi = (pp >> 2) & p_mask
-                        c = counters[pi]
-                        if taken:
-                            if c < 3:
-                                counters[pi] = c + 1
-                            bi = (pp >> 2) & b_mask
-                            btb_tags[bi] = pp
-                            btb_targets[bi] = target
-                        elif c > 0:
-                            counters[pi] = c - 1
-                    elif pmode == 0:
-                        pred_update(ex.pc, taken, target)
-                    # pmode == 1: not-taken update is a no-op
-                    if actual != ex.pred_next_pc:
-                        mispredicts += 1
-                        # EX redirect: squash the two younger stages
-                        sq = s_id
-                        if sq is not None:
-                            squashed += 1
-                            ar = sq.acquired_reg
-                            if ar is not None:
-                                cancel(ar)
-                                sq.acquired_reg = None
-                            pool.append(sq)
-                            s_id = None
-                        sq = s_if
-                        if sq is not None:
-                            squashed += 1
-                            ar = sq.acquired_reg
-                            if ar is not None:
-                                cancel(ar)
-                                sq.acquired_reg = None
-                            pool.append(sq)
-                            s_if = None
-                        if_wait = 0
-                        fetch_pc = actual
-                        suppress = True
-                        fetch_halted = False
-                elif k == 6:                        # STORE
-                    rr = d.rs
-                    if rr == 0:
-                        a = 0
-                    elif mem is not None and mem.d.dest == rr:
-                        a = mem.result
-                    else:
-                        a = regs[rr]
-                    rr = d.rt
-                    if rr == 0:
-                        bb = 0
-                    elif mem is not None and mem.d.dest == rr:
-                        bb = mem.result
-                    else:
-                        bb = regs[rr]
-                    ex.mem_addr = (a + d.imm) & 4294967295
-                    ex.store_val = bb
-                elif k == 4:                        # LUI
-                    ex.result = d.result_const
-                elif k == 9:                        # JAL
-                    ex.result = d.pc4
-                elif k == 10 or k == 11:            # JR / JALR
-                    if k == 11:
-                        ex.result = d.pc4
-                    rr = d.rs
-                    if rr == 0:
-                        a = 0
-                    elif mem is not None and mem.d.dest == rr:
-                        a = mem.result
-                    else:
-                        a = regs[rr]
-                    sq = s_id
-                    if sq is not None:
-                        squashed += 1
-                        ar = sq.acquired_reg
-                        if ar is not None:
-                            cancel(ar)
-                            sq.acquired_reg = None
-                        pool.append(sq)
-                        s_id = None
-                    sq = s_if
-                    if sq is not None:
-                        squashed += 1
-                        ar = sq.acquired_reg
-                        if ar is not None:
-                            cancel(ar)
-                            sq.acquired_reg = None
-                        pool.append(sq)
-                        s_if = None
-                    if_wait = 0
-                    fetch_pc = a
-                    suppress = True
-                    fetch_halted = False
-                    jr_redirects += 1
-                # else k == 0: JUMP/HALT/CTL — nothing to compute
-
-            # ---- ID: first-cycle work (jump redirect, BDT acquire) -
-            did = s_id
-            if did is not None and not did.id_done:
-                did.id_done = True
-                d = did.d
-                if asbr is not None:
-                    dest = d.dest
-                    if dest is not None and dest != 0:
-                        acquire(dest)
-                        did.acquired_reg = dest
-                if d.is_halt:
-                    fetch_halted = True
-                elif d.is_jump:
-                    sq = s_if
-                    if sq is not None:
-                        squashed += 1
-                        ar = sq.acquired_reg
-                        if ar is not None:
-                            cancel(ar)
-                            sq.acquired_reg = None
-                        pool.append(sq)
-                        s_if = None
-                    if_wait = 0
-                    fetch_pc = d.jump_target
-                    suppress = True
-                    jump_bubbles += 1
-
-            # ---- IF: start a new fetch -----------------------------
-            if s_if is None and not suppress and not fetch_halted:
-                pc = fetch_pc
-                if not (pc & 3) and base <= pc < end:
-                    d = dec[(pc - base) >> 2]
-                    tag = pc >> ic_shift
-                    way = ic_sets[tag & ic_smask]
-                    ic_acc += 1
-                    if tag in way:
-                        way.move_to_end(tag)
-                        if_wait = 0
-                    else:
-                        ic_miss += 1
-                        extra = ic_pen
-                        if len(way) >= ic_assoc:
-                            _victim, dirty = way.popitem(last=False)
-                            if dirty:
-                                ic_wbk += 1
-                                extra += ic_wbpen
-                        way[tag] = False
-                        if_wait = extra
-                        istalls += extra
-                    uf = d.uncond_fold
-                    if uf is not None:
-                        td, tpc, next_pc = uf
-                        if pool:
-                            slot = pool.pop()
-                            slot.d = td
-                            slot.pc = tpc
-                            slot.folded = False
-                            slot.mem_wait = 0
-                            slot.mem_done = False
-                            slot.ex_done = False
-                            slot.id_done = False
-                            slot.acquired_reg = None
-                        else:
-                            slot = _Slot(td, tpc)
-                        slot.uncond_folded = True
-                        s_if = slot
-                        fetched += 1
-                        fetch_pc = next_pc
-                    elif d.is_branch:
-                        fold = None
-                        if try_fold is not None:
-                            fold = try_fold(pc)
-                        if fold is not None:
-                            fd = foreign_decode(fold.instr, fold.instr_pc)
-                            if pool:
-                                slot = pool.pop()
-                                slot.d = fd
-                                slot.pc = fold.instr_pc
-                                slot.uncond_folded = False
-                                slot.mem_wait = 0
-                                slot.mem_done = False
-                                slot.ex_done = False
-                                slot.id_done = False
-                                slot.acquired_reg = None
-                            else:
-                                slot = _Slot(fd, fold.instr_pc)
-                            slot.folded = True
-                            s_if = slot
-                            fetched += 1
-                            fetch_pc = fold.next_pc
-                        else:
-                            lookups += 1
-                            if pmode == 2:          # bimodal, inlined
-                                if counters[(pc >> 2) & p_mask] >= 2:
-                                    bi = (pc >> 2) & b_mask
-                                    pt = (btb_targets[bi]
-                                          if btb_tags[bi] == pc else None)
-                                else:
-                                    pt = None
-                            elif pmode == 1:        # not-taken
-                                pt = None
-                            else:
-                                pred = pred_predict(pc)
-                                pt = (pred.target if pred.taken
-                                      and pred.target is not None else None)
-                            if pool:
-                                slot = pool.pop()
-                                slot.d = d
-                                slot.pc = pc
-                                slot.folded = False
-                                slot.uncond_folded = False
-                                slot.mem_wait = 0
-                                slot.mem_done = False
-                                slot.ex_done = False
-                                slot.id_done = False
-                                slot.acquired_reg = None
-                            else:
-                                slot = _Slot(d, pc)
-                            slot.pred_next_pc = pt if pt is not None else d.pc4
-                            s_if = slot
-                            fetched += 1
-                            fetch_pc = slot.pred_next_pc
-                    else:
-                        if pool:
-                            slot = pool.pop()
-                            slot.d = d
-                            slot.pc = pc
-                            slot.folded = False
-                            slot.uncond_folded = False
-                            slot.mem_wait = 0
-                            slot.mem_done = False
-                            slot.ex_done = False
-                            slot.id_done = False
-                            slot.acquired_reg = None
-                        else:
-                            slot = _Slot(d, pc)
-                        s_if = slot
-                        fetched += 1
-                        fetch_pc = d.pc4
-
-            # ---- advance latches downstream-first ------------------
-            # MEM -> WB
-            if mem is not None and mem.mem_done:
-                if mem.mem_wait > 0:
-                    mem.mem_wait -= 1
-                else:
-                    ar = mem.acquired_reg
-                    if ar is not None and (rel_mem
-                                           or (rel_ex and mem.d.is_load)):
-                        pending.append((ar, mem.result))
-                        mem.acquired_reg = None
-                    s_wb = mem
-                    s_mem = None
-
-            # EX -> MEM
-            if ex is not None and ex.ex_done and s_mem is None:
-                if rel_ex:
-                    ar = ex.acquired_reg
-                    if ar is not None and not ex.d.is_load:
-                        pending.append((ar, ex.result))
-                        ex.acquired_reg = None
-                s_mem = ex
-                s_ex = None
-
-            # ID -> EX (load-use interlock against this cycle's EX)
-            if did is not None and did.id_done and s_ex is None:
-                if ex is not None and ex.d.is_load:
-                    if ex.d.dest_mask & did.d.src_mask:
-                        load_use += 1
-                    else:
-                        s_ex = did
-                        s_id = None
-                else:
-                    s_ex = did
-                    s_id = None
-
-            # IF -> ID
-            if s_if is not None:
-                if if_wait > 0:
-                    if_wait -= 1
-                elif s_id is None:
-                    s_id = s_if
-                    s_if = None
-
-            # ---- apply deferred BDT releases -----------------------
-            if pending:
-                for reg, value in pending:
-                    release(reg, value)
-                pending.clear()  # noqa: B038 — shared-identity list
-    finally:
-        stats.cycles = cycles
-        stats.committed = committed
-        stats.fetched = fetched
-        stats.squashed = squashed
-        stats.branches = branches
-        stats.branch_mispredicts = mispredicts
-        stats.folds_committed = folds
-        stats.uncond_folds_committed = uncond_folds
-        stats.predictor_lookups = lookups
-        stats.jump_bubbles = jump_bubbles
-        stats.jr_redirects = jr_redirects
-        stats.load_use_stalls = load_use
-        stats.icache_miss_stalls = istalls
-        stats.dcache_miss_stalls = dstalls
-        ic_stats.accesses = ic_acc
-        ic_stats.misses = ic_miss
-        ic_stats.writebacks = ic_wbk
-        dc_stats.accesses = dc_acc
-        dc_stats.misses = dc_miss
-        dc_stats.writebacks = dc_wbk
-        sim.s_if = s_if
-        sim.if_wait = if_wait
-        sim.s_id = s_id
-        sim.s_ex = s_ex
-        sim.s_mem = s_mem
-        sim.s_wb = s_wb
-        sim.fetch_pc = fetch_pc
-        sim._fetch_halted = fetch_halted
-        sim._suppress_fetch = suppress
-        if halted:
-            sim.halted = True
-    return stats

@@ -11,7 +11,7 @@ independent* so the simulators share it instead of forking it:
 * the construction-time decode machinery (:class:`_Decoded`,
   :func:`_decode`, :func:`_build_dec_table`, the interned-table memo)
   together with the EX dispatch handlers and the integer kind codes the
-  block engine inlines on;
+  compiled pipeline loop inlines on;
 * :class:`PipelineStats`, the statistics record every experiment,
   cache entry and objective extractor consumes (the out-of-order
   machine extends it via :class:`CoreStatsMixin`);
@@ -24,9 +24,9 @@ independent* so the simulators share it instead of forking it:
   front end attaches to either machine unchanged.
 
 The in-order simulator re-exports every moved name, so existing imports
-(``repro.sim.blocks``, ``repro.telemetry.traced``, the test-suite) keep
-resolving; ``tests/test_stats_golden.py`` locks that the extraction
-left the in-order cycle counts bit-identical.
+(``repro.telemetry.traced``, the test-suite) keep resolving;
+``tests/test_stats_golden.py`` locks that the extraction left the
+in-order cycle counts bit-identical.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class _Decoded:
 
 
 #: integer EX-dispatch codes mirroring the ``_ex_*`` handlers below; the
-#: block engine (repro.sim.blocks) branches on these in its monolithic
-#: loop — an if/elif on a small int beats an indirect call per stage
+#: compiled pipeline loop (repro.sim.superblocks) branches on these — an
+#: if/elif on a small int beats an indirect call per stage
 EXK_NONE = 0        # JUMP / HALT / CTL: nothing to compute
 EXK_ALU_RRR = 1
 EXK_SHIFT_I = 2
@@ -114,7 +114,7 @@ EXK_JAL = 9
 EXK_JR = 10
 EXK_JALR = 11
 
-#: sub-dispatch codes letting the block engine inline the hot ALU
+#: sub-dispatch codes letting the compiled loop inline the hot ALU
 #: operations, zero-tests and load fixups as plain expressions instead
 #: of indirect calls; 0 always means "call the generic callable"
 _ALU_CODE = {"add": 1, "addu": 1, "sub": 2, "subu": 2, "and": 3,
@@ -201,7 +201,7 @@ def _decode(instr: Instruction, pc: int) -> _Decoded:
     d.pc4 = (pc + 4) & MASK32
     d.dest = instr.dest_reg
     d.srcs = tuple(instr.src_regs)
-    # register bitmasks: the block engine's hazard check is one AND
+    # register bitmasks: the compiled loop's hazard check is one AND
     # (`dest_mask & src_mask`), equivalent to `dest in srcs` with the
     # dest None/r0 guards folded in (r0 never sets a dest bit)
     d.dest_mask = 1 << d.dest if d.dest is not None and d.dest != 0 else 0
@@ -324,9 +324,10 @@ def _build_dec_table(program: Program,
     return dec
 
 
-#: interned decode tables for the block engine: _Decoded records are
-#: immutable after construction, so simulators over the same (program,
-#: fold flag) can share one table instead of re-deriving it per RunSpec.
+#: interned decode tables for every timing simulator: _Decoded records
+#: are immutable after construction (no simulator, frontend or tracer
+#: writes them), so simulators over the same (program, fold flag)
+#: share one table instead of re-deriving it per RunSpec.
 #: Keyed on object identity plus the program's mutation ``version``
 #: (``replace_instr`` bumps it); the table's records hold the program's
 #: instructions, and the key tuple below pins the program itself, so a

@@ -50,6 +50,13 @@ class SimulationError(RuntimeError):
     """A program did something architecturally illegal."""
 
 
+#: every ``engine=`` name the simulators, ``RunSpec`` and the wire
+#: format accept.  ``"blocks"`` and ``"superblocks"`` name one compiled
+#: engine per simulator: functional ``"superblocks"`` runs the blocks
+#: translator and pipeline ``"blocks"`` runs the superblocks loop.
+ENGINES = ("interp", "blocks", "superblocks")
+
+
 @dataclass
 class BranchRecord:
     """One dynamic conditional-branch execution."""
@@ -82,23 +89,19 @@ class FunctionalSimulator:
         retire counts and errors, several times faster.
         ``"superblocks"`` is accepted as an alias for ``"blocks"``:
         the functional translation cache already chains hot
-        block-to-block successors (the pipeline engines are where the
-        two differ).  ``run`` falls back to the interpreted loop
-        whenever an observer or tracer is attached (they need
-        per-instruction visibility).
-    blocks_cache_dir:
-        optional directory for on-disk compiled-block artifacts
-        (defaults to ``$REPRO_BLOCKS_CACHE``; unset = no disk cache).
+        block-to-block successors.  ``run`` falls back to the
+        interpreted loop whenever an observer or tracer is attached
+        (they need per-instruction visibility).  The default stays
+        ``"interp"`` because the profiler and
+        :func:`collect_branch_trace` only single-step.
     """
 
     def __init__(self, program: Program,
                  memory: Optional[MainMemory] = None,
-                 engine: str = "interp",
-                 blocks_cache_dir: Optional[str] = None) -> None:
-        if engine not in ("interp", "blocks", "superblocks"):
-            raise ValueError(
-                "unknown engine %r (expected 'interp', 'blocks' or "
-                "'superblocks')" % (engine,))
+                 engine: str = "interp") -> None:
+        if engine not in ENGINES:
+            raise ValueError("unknown engine %r (expected one of %s)"
+                             % (engine, ", ".join(ENGINES)))
         if engine == "superblocks":
             engine = "blocks"   # functional blocks already chain
         self.engine = engine
@@ -127,8 +130,7 @@ class FunctionalSimulator:
         self._blocks = None
         if engine == "blocks":
             from repro.sim import blocks as _blocks_mod
-            self._blocks = _blocks_mod.bind_functional(
-                self, blocks_cache_dir)
+            self._blocks = _blocks_mod.bind_functional(self)
             self._blocks_run = _blocks_mod.run_functional_blocks
 
     # ------------------------------------------------------------------

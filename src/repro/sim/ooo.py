@@ -98,9 +98,9 @@ from repro.sim.core import (
     EXK_SHIFT_I,
     EXK_STORE,
     CoreStatsMixin,
-    _build_dec_table,
     _decode,
     _Decoded,
+    _interned_dec_table,
     init_core_state,
 )
 from repro.sim.functional import SimulationError
@@ -270,7 +270,7 @@ class OoOSimulator:
                         self.config.icache, self.config.dcache)
         self.stats = OoOStats()
         self.commit_log = commit_log
-        self._dec = _build_dec_table(program, fold_unconditional)
+        self._dec = _interned_dec_table(program, fold_unconditional)
         self._foreign: Dict[tuple, _Decoded] = {}
         self._foreign_pin: List[Instruction] = []
 

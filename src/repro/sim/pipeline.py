@@ -39,6 +39,14 @@ occupied stage.  Cycle counts are *bit-identical* to the original
 re-dispatching implementation (``tests/test_stats_golden.py`` locks
 them; ``tests/test_differential_random.py`` locks architectural state).
 
+Compiled loop
+-------------
+By default ``run()`` executes
+:func:`~repro.sim.superblocks.run_pipeline_superblocks`, a monolithic
+transcription of ``tick()`` with the ASBR fold checks compiled in.  It
+falls back to the ``tick()`` loop whenever something needs to observe
+or replace per-cycle work (see :meth:`PipelineSimulator.run`).
+
 Telemetry
 ---------
 Passing ``trace=Tracer(...)`` binds the instrumented twins of the hot
@@ -65,7 +73,7 @@ from repro.isa.instruction import Instruction
 from repro.memory.cache import CacheConfig
 from repro.memory.main_memory import MainMemory
 from repro.predictors.base import BranchPredictor
-from repro.sim.functional import SimulationError
+from repro.sim.functional import ENGINES, SimulationError
 
 # The decode machinery, stats record and shared constructor live in
 # repro.sim.core (shared with the out-of-order backend); every moved
@@ -76,11 +84,17 @@ from repro.sim.core import (  # noqa: F401  (re-exports)
     EXK_ALU_RRI, EXK_ALU_RRR, EXK_BRANCH_CMP, EXK_BRANCH_Z, EXK_CONST,
     EXK_JAL, EXK_JALR, EXK_JR, EXK_LOAD, EXK_NONE, EXK_SHIFT_I,
     EXK_STORE,
-    _build_dec_table, _decode, _interned_dec_table, init_core_state,
+    _decode, _interned_dec_table, init_core_state,
     _ex_alu_rri, _ex_alu_rrr, _ex_branch_cmp, _ex_branch_z, _ex_const,
     _ex_jal, _ex_jalr, _ex_jr, _ex_load, _ex_none, _ex_shift_i,
     _ex_store,
 )
+
+
+#: the engine every pipeline run uses unless told otherwise: the
+#: compiled loop.  ``RunSpec``, the workload harness, DSE, the CLI and
+#: the serve daemon all default to this one name.
+DEFAULT_ENGINE = "superblocks"
 
 
 @dataclass
@@ -138,7 +152,7 @@ class PipelineSimulator:
                  asbr: Optional[ASBRUnit] = None,
                  config: Optional[PipelineConfig] = None,
                  fold_unconditional: bool = False,
-                 trace=None, engine: str = "interp",
+                 trace=None, engine: str = DEFAULT_ENGINE,
                  frontend=None) -> None:
         """``fold_unconditional`` enables CRISP-style folding of
         statically-unconditional control transfers (``j`` and
@@ -154,16 +168,16 @@ class PipelineSimulator:
         strictly zero cost when disabled.  Traced runs produce
         bit-identical statistics and architectural state.
 
-        ``engine`` selects the execution engine: ``"interp"`` is the
-        decoded-dispatch ``tick()`` loop; ``"blocks"`` runs the
-        block-compiled fast loop (:mod:`repro.sim.blocks`) with
-        bit-identical statistics; ``"superblocks"`` additionally
-        compiles the ASBR fold checks, BDT update points and predictor
-        decisions into the loop body with direct-threaded fold
-        transfer (:mod:`repro.sim.superblocks`), still bit-identical.
-        When telemetry is attached or ``tick`` has been rebound on the
-        instance (fault injection), ``run`` transparently falls back
-        to the interpreted loop.
+        ``engine`` selects the execution engine: ``"superblocks"`` (the
+        default, :data:`DEFAULT_ENGINE`) runs the compiled loop of
+        :mod:`repro.sim.superblocks`, which compiles the ASBR fold
+        checks, BDT update points and predictor decisions into the loop
+        body with bit-identical statistics; ``"blocks"`` is accepted as an
+        alias for it, the way the functional simulator maps
+        ``"superblocks"`` onto its blocks engine; ``"interp"`` is the
+        decoded-dispatch ``tick()`` loop.  When telemetry is attached
+        or ``tick`` has been rebound on the instance (fault injection),
+        ``run`` transparently falls back to the interpreted loop.
 
         ``frontend`` attaches the decoupled front end
         (:mod:`repro.frontend`): pass a
@@ -172,12 +186,13 @@ class PipelineSimulator:
         running ahead of fetch and — when configured — FDIP I-cache
         prefetching.  Default None keeps the seed fetch path untouched
         (bit-identical stats, golden-locked); like telemetry, an
-        attached frontend makes the blocks engine fall back to the
+        attached frontend makes the compiled engine fall back to the
         interpreted loop."""
-        if engine not in ("interp", "blocks", "superblocks"):
-            raise ValueError(
-                "unknown engine %r (expected 'interp', 'blocks' or "
-                "'superblocks')" % (engine,))
+        if engine not in ENGINES:
+            raise ValueError("unknown engine %r (expected one of %s)"
+                             % (engine, ", ".join(ENGINES)))
+        if engine == "blocks":
+            engine = "superblocks"   # one compiled pipeline loop
         self.engine = engine
         self.config = config if config is not None else PipelineConfig()
         self.fold_unconditional = fold_unconditional
@@ -199,12 +214,9 @@ class PipelineSimulator:
         self._fetch_halted = False            # halt decoded on current path
         self._pending_releases = []           # (reg, value) applied at EOT
 
-        if engine in ("blocks", "superblocks"):
-            # shared, interned table: computed once per (program, fold
-            # flag) per process instead of once per simulator
-            self._dec = _interned_dec_table(program, fold_unconditional)
-        else:
-            self._dec = _build_dec_table(program, fold_unconditional)
+        # shared, interned table: computed once per (program, fold
+        # flag) per process instead of once per simulator
+        self._dec = _interned_dec_table(program, fold_unconditional)
         # injected (BTI/BFI) instructions decoded on first use; the pin
         # list keeps every memoized instruction alive so a (id, pc) key
         # can never be recycled by a new object after BIT eviction
@@ -247,19 +259,16 @@ class PipelineSimulator:
     # ==================================================================
     def run(self) -> PipelineStats:
         """Simulate until the program's ``halt`` commits."""
-        if (self.trace is None and self.frontend is None
+        # telemetry attach and fault injection both rebind methods on
+        # the instance (and tests may subclass); any of those falls
+        # back to the interpreted loop so the instrumented twins keep
+        # seeing every cycle
+        if (self.engine == "superblocks" and self.trace is None
+                and self.frontend is None
                 and type(self) is PipelineSimulator
                 and "tick" not in self.__dict__):
-            # telemetry attach and fault injection both rebind methods
-            # on the instance (and tests may subclass); any of those
-            # falls back to the interpreted loop so the instrumented
-            # twins keep seeing every cycle
-            if self.engine == "blocks":
-                from repro.sim.blocks import run_pipeline_blocks
-                return run_pipeline_blocks(self)
-            if self.engine == "superblocks":
-                from repro.sim.superblocks import run_pipeline_superblocks
-                return run_pipeline_superblocks(self)
+            from repro.sim.superblocks import run_pipeline_superblocks
+            return run_pipeline_superblocks(self)
         max_cycles = self.config.max_cycles
         stats = self.stats
         tick = self.tick

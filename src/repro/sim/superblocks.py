@@ -1,8 +1,13 @@
-"""Fold-specialized pipeline superblocks (``engine="superblocks"``).
+"""The pipeline's compiled loop (``engine="superblocks"``, the default).
 
-The pipeline blocks engine (:func:`repro.sim.blocks.run_pipeline_blocks`)
-already holds every latch and counter in locals, but it still pays three
-interpreter-style costs per cycle:
+:func:`run_pipeline_superblocks` is a monolithic transcription of
+``PipelineSimulator.tick()``: every latch, flag and counter lives in
+locals for the whole run, the EX dispatch runs on the ``_Decoded``
+integer kind codes (``exk``/``aluk``/``condk``/``lfk``), hazard checks
+use register bitmasks, and the not-taken/bimodal predictors and the
+cache access are inlined with their state hoisted.  Interpreting
+``tick()`` against the real object graph would still pay three costs
+per cycle:
 
 * every control instruction crosses the ``ASBRUnit`` object graph —
   ``try_fold`` walks BIT bank -> dict -> ``BITEntry`` -> BDT entry ->
@@ -48,12 +53,13 @@ when an access hits the line that is already most-recently-used (the
 overwhelmingly common case for sequential fetch).  Store hits still
 write the dirty bit; miss/eviction/writeback behavior is untouched.
 
-Fallback surface: exactly the blocks engine's — telemetry attach,
-fault-injection ``tick`` rebinding, a decoupled frontend or subclassing
-all fall back to the interpreted loop (observers need per-cycle
-visibility into the real object graph).  The golden-stats locks,
-the differential sweep and ``benchmarks/perf_smoke.py`` pin
-bit-identity of the full ``PipelineStats`` against both other engines.
+Fallback surface: telemetry attach, fault-injection ``tick``
+rebinding, a decoupled frontend or subclassing all make
+``PipelineSimulator.run`` take the interpreted loop instead (observers
+need per-cycle visibility into the real object graph).  The
+golden-stats locks, the differential sweep and
+``benchmarks/perf_smoke.py`` pin bit-identity of the full
+``PipelineStats`` against the interpreted loop.
 """
 
 from __future__ import annotations
@@ -109,9 +115,11 @@ def run_pipeline_superblocks(sim):
     """Monolithic fast twin of ``PipelineSimulator.run`` with ASBR
     folding, BDT updates and predictor decisions compiled in.
 
-    Derived from :func:`repro.sim.blocks.run_pipeline_blocks`; see the
-    module docstring for what is specialized further.  Bit-identical
-    timing and ASBR statistics are locked by the golden suite.
+    See the module docstring for what is specialized.  State (latches,
+    stats, cache counters) is written back in ``finally`` so budget
+    errors and post-run inspection see the simulator the interpreted
+    loop would leave behind.  Bit-identical timing and ASBR statistics
+    are locked by the golden suite.
     """
     from repro.predictors.bimodal import BimodalPredictor
     from repro.predictors.simple import NotTakenPredictor

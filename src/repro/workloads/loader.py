@@ -18,7 +18,8 @@ from repro.asm.assembler import assemble
 from repro.asm.program import Program
 from repro.memory.main_memory import MainMemory
 from repro.sim.functional import FunctionalSimulator
-from repro.sim.pipeline import PipelineConfig, PipelineSimulator, PipelineStats
+from repro.sim.pipeline import (DEFAULT_ENGINE, PipelineConfig,
+                                PipelineSimulator, PipelineStats)
 from repro.workloads import golden, huffman
 
 #: Capacity of the .space reservations in the assembly sources.
@@ -146,38 +147,10 @@ class Workload:
         return WorkloadResult(self.read_output(sim.memory, count),
                               instructions=n)
 
-    def run_functional_batch(self, pcms: Sequence[Sequence[int]],
-                             max_instructions: int = 500_000_000
-                             ) -> List[WorkloadResult]:
-        """Run N stimuli through the lockstep batch engine.
-
-        One vectorized :func:`repro.sim.batch.run_batch` pass over all
-        lanes; returns one :class:`WorkloadResult` per stimulus,
-        bit-identical to N serial :meth:`run_functional` calls.  A lane
-        that trapped raises the serial engine's error for that lane.
-        """
-        from repro.sim.batch import run_batch
-        from repro.sim.functional import SimulationError
-        streams = [self.prepare_input(p) for p in pcms]
-        counts = [self._count(p, s) for p, s in zip(pcms, streams)]
-        mems = [self.build_memory(s, c) for s, c in zip(streams, counts)]
-        res = run_batch(self.program, mems,
-                        max_instructions=max_instructions)
-        out = []
-        for lane, lr in enumerate(res.lanes):
-            if lr.error is not None:
-                raise SimulationError("lane %d: %s: %s"
-                                      % (lane, lr.error[0], lr.error[1]))
-            m = MainMemory()
-            m.load_words(lr.memory.items())
-            out.append(WorkloadResult(self.read_output(m, counts[lane]),
-                                      instructions=lr.instructions_retired))
-        return out
-
     def run_pipeline(self, pcm: Sequence[int], predictor=None, asbr=None,
                      config: Optional[PipelineConfig] = None,
                      trace=None, on_sim=None,
-                     engine: str = "interp",
+                     engine: str = DEFAULT_ENGINE,
                      frontend=None) -> WorkloadResult:
         """``trace`` (a :class:`repro.telemetry.Tracer`) enables the
         pipeline's telemetry hooks for this run; None costs nothing.

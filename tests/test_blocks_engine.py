@@ -1,24 +1,23 @@
-"""Unit tests for the block-compiled execution engine (repro.sim.blocks).
+"""Unit tests for the compiled engines (repro.sim.blocks for the
+functional simulator, repro.sim.superblocks for the pipeline).
 
 The differential sweep and golden locks prove bulk bit-identity; these
-tests pin down the engine's edges: budget and trap semantics, indirect
-jumps into the middle of a compiled block, the interp fallbacks that
-preserve the telemetry/fault invariants, the foreign-decode memo, and
-the content-addressed artifact cache (process memo + disk round-trip +
-corruption recovery).
+tests pin down the engines' edges: budget and trap semantics, indirect
+jumps into the middle of a compiled block, when the pipeline enters its
+compiled loop and the interp fallbacks that preserve the
+telemetry/fault invariants, the foreign-decode memo, and the
+per-process artifact memo.
 """
 
 import dataclasses
-import json
-import os
 
 import pytest
 
 from repro.asm import assemble
 from repro.runner.cache import key_for_spec
 from repro.runner.pool import RunSpec
-from repro.sim import blocks
-from repro.sim.functional import FunctionalSimulator, SimulationError
+from repro.sim import blocks, superblocks
+from repro.sim.functional import ENGINES, FunctionalSimulator, SimulationError
 from repro.sim.pipeline import PipelineSimulator
 
 
@@ -106,7 +105,8 @@ def test_ctl_writes_identical():
 
 
 # ----------------------------------------------------------------------
-# fallback guards: telemetry / fault hooks force the interpreted path
+# compiled-loop entry, and the fallback guards: telemetry / fault hooks
+# force the interpreted path
 # ----------------------------------------------------------------------
 def test_functional_observer_falls_back_to_interp():
     src = "li r1, 1\nli r2, 2\naddu r3, r1, r2\nhalt\n"
@@ -118,46 +118,74 @@ def test_functional_observer_falls_back_to_interp():
     assert sim.regs[3] == 3
 
 
+#: every way to ask for the compiled pipeline loop: both compiled names
+#: and the default (no ``engine=`` argument)
+COMPILED = [{"engine": "blocks"}, {"engine": "superblocks"}, {}]
+
+
+def _forbid_compiled_loop(monkeypatch):
+    monkeypatch.setattr(superblocks, "run_pipeline_superblocks",
+                        lambda sim: pytest.fail("compiled loop taken"))
+
+
+def test_pipeline_default_run_enters_compiled_loop(monkeypatch):
+    """An unobserved run on either compiled name, or on the default,
+    must take the compiled loop (and nothing else)."""
+    real = superblocks.run_pipeline_superblocks
+    for kwargs in COMPILED:
+        entered = []
+
+        def spy(sim, entered=entered):
+            entered.append(sim)
+            return real(sim)
+
+        monkeypatch.setattr(superblocks, "run_pipeline_superblocks", spy)
+        sim = PipelineSimulator(_prog("li r1, 1\nhalt\n"), **kwargs)
+        assert sim.run().committed == 2
+        assert entered == [sim], "compiled loop skipped for %r" % kwargs
+
+
 def test_pipeline_trace_falls_back_to_interp(monkeypatch):
     from repro.telemetry import MetricsRegistry, Tracer
-    monkeypatch.setattr(blocks, "run_pipeline_blocks",
-                        lambda sim: pytest.fail("blocks path taken"))
+    _forbid_compiled_loop(monkeypatch)
     prog = _prog("li r1, 1\nli r2, 2\naddu r3, r1, r2\nhalt\n")
-    sim = PipelineSimulator(prog, trace=Tracer(MetricsRegistry()),
-                            engine="blocks")
-    stats = sim.run()
-    assert stats.committed == 4
+    for kwargs in COMPILED:
+        sim = PipelineSimulator(prog, trace=Tracer(MetricsRegistry()),
+                                **kwargs)
+        stats = sim.run()
+        assert stats.committed == 4, kwargs
 
 
 def test_pipeline_tick_rebinding_falls_back(monkeypatch):
     """A fault injector (or anything else) that rebinds ``tick`` on the
-    instance must win: the block path would bypass the rebound method."""
-    monkeypatch.setattr(blocks, "run_pipeline_blocks",
-                        lambda sim: pytest.fail("blocks path taken"))
+    instance must win: the compiled loop would bypass the rebound
+    method."""
+    _forbid_compiled_loop(monkeypatch)
     prog = _prog("li r1, 1\nhalt\n")
-    sim = PipelineSimulator(prog, engine="blocks")
-    ticks = []
-    orig = type(sim).tick
+    for kwargs in COMPILED:
+        sim = PipelineSimulator(prog, **kwargs)
+        ticks = []
+        orig = type(sim).tick
 
-    def spy_tick():
-        ticks.append(1)
-        return orig(sim)
+        def spy_tick(sim=sim, ticks=ticks):
+            ticks.append(1)
+            return orig(sim)
 
-    sim.tick = spy_tick
-    sim.run()
-    assert ticks, "instance tick() was bypassed"
+        sim.tick = spy_tick
+        sim.run()
+        assert ticks, "instance tick() was bypassed for %r" % kwargs
 
 
 def test_pipeline_subclass_falls_back(monkeypatch):
-    monkeypatch.setattr(blocks, "run_pipeline_blocks",
-                        lambda sim: pytest.fail("blocks path taken"))
+    _forbid_compiled_loop(monkeypatch)
 
     class Sub(PipelineSimulator):
         pass
 
-    sim = Sub(_prog("li r1, 1\nhalt\n"), engine="blocks")
-    stats = sim.run()
-    assert stats.committed == 2
+    for kwargs in COMPILED:
+        sim = Sub(_prog("li r1, 1\nhalt\n"), **kwargs)
+        stats = sim.run()
+        assert stats.committed == 2, kwargs
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +228,7 @@ def test_hot_folded_branch_decodes_target_exactly_once(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# artifact caches: process memo, disk round-trip, corruption recovery
+# artifact cache: the per-process memo
 # ----------------------------------------------------------------------
 def test_process_memo_shares_artifacts():
     prog = _prog("li r1, 1\nhalt\n")
@@ -217,58 +245,14 @@ def test_program_mutation_invalidates_memo():
     assert a is not b
 
 
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    cache_dir = str(tmp_path / "blockcache")
-    src = "li r1, 7\nloop: addiu r1, r1, -1\nbne r1, r0, loop\nhalt\n"
-    prog = _prog(src)
-    blocks.compile_blocks(prog, cache_dir=cache_dir)
-    entries = [f for f in os.listdir(cache_dir)
-               if f.endswith(".blocks.json")]
-    assert len(entries) == 1
-
-    # a fresh, identical program in a fresh process-memo must be served
-    # from disk: generating the source again is forbidden
-    blocks._MEMO.clear()
-    monkeypatch.setattr(blocks, "generate_source",
-                        lambda p: pytest.fail("disk cache was bypassed"))
-    prog2 = _prog(src)
-    art = blocks.compile_blocks(prog2, cache_dir=cache_dir)
-    sim = FunctionalSimulator(prog2, engine="blocks",
-                              blocks_cache_dir=cache_dir)
-    assert sim.run() == 16
-    assert art.program is prog2
-
-
-def test_disk_cache_drops_corrupt_entry(tmp_path):
-    cache_dir = str(tmp_path / "blockcache")
-    prog = _prog("li r1, 1\nhalt\n")
-    blocks.compile_blocks(prog, cache_dir=cache_dir)
-    (path,) = [os.path.join(cache_dir, f) for f in os.listdir(cache_dir)
-               if f.endswith(".blocks.json")]
-    with open(path) as f:
-        entry = json.load(f)
-    entry["source"] = entry["source"] + "\n# tampered"
-    with open(path, "w") as f:
-        json.dump(entry, f)
-
-    blocks._MEMO.clear()
-    cache = blocks.BlockCache(cache_dir)
-    assert cache.get(prog) is None        # checksum mismatch -> dropped
-    assert not os.path.exists(path)
-    # and a full compile regenerates cleanly
-    sim = FunctionalSimulator(prog, engine="blocks",
-                              blocks_cache_dir=cache_dir)
-    sim.run()
-    assert sim.regs[1] == 1
-
-
 # ----------------------------------------------------------------------
 # result-cache key: engine deliberately excluded
 # ----------------------------------------------------------------------
 def test_engine_not_part_of_result_cache_key():
-    a = RunSpec("adpcm_enc", 96, 11, "not-taken")
-    b = RunSpec("adpcm_enc", 96, 11, "not-taken", engine="blocks")
-    assert key_for_spec(a) == key_for_spec(b)
+    default = key_for_spec(RunSpec("adpcm_enc", 96, 11, "not-taken"))
+    for engine in ENGINES:
+        spec = RunSpec("adpcm_enc", 96, 11, "not-taken", engine=engine)
+        assert key_for_spec(spec) == default, engine
 
 
 def test_generated_source_is_deterministic():
@@ -283,8 +267,8 @@ def test_pipeline_stats_match_with_engine_stats_identity():
            "loop: addiu r2, r2, 3\nsw r2, -8(sp)\nlw r3, -8(sp)\n"
            "addiu r1, r1, -1\nbne r1, r0, loop\nhalt\n")
     prog = _prog(src)
-    a = PipelineSimulator(_prog(src))
-    b = PipelineSimulator(prog, engine="blocks")
+    a = PipelineSimulator(_prog(src), engine="interp")
+    b = PipelineSimulator(prog)
     sa, sb = a.run(), b.run()
     assert dataclasses.asdict(sa) == dataclasses.asdict(sb)
     assert a.icache.stats == b.icache.stats

@@ -13,7 +13,7 @@ Four claims, each load-bearing:
   fetch-directed prefetching removes a concrete fraction of demand
   misses (threshold asserted, not just "fewer");
 * **observability parity** — a traced frontend run is timing-identical
-  to the untraced one, and the blocks engine falls back safely.
+  to the untraced one, and the compiled engine falls back safely.
 """
 
 import dataclasses
@@ -143,11 +143,19 @@ def test_traced_frontend_run_is_timing_identical(pcm):
     assert counts.get("btb_hit", 0) > 0
 
 
-def test_blocks_engine_falls_back_with_frontend(pcm):
+def test_blocks_engine_falls_back_with_frontend(pcm, monkeypatch):
+    """A frontend-attached run never enters the compiled loop, whichever
+    compiled name asked for it."""
+    from repro.sim import superblocks
+
     interp, _ = _run(pcm, "adpcm_enc", frontend=FrontendConfig())
-    blocks, sim = _run(pcm, "adpcm_enc", frontend=FrontendConfig(),
-                       engine="blocks")
-    assert dataclasses.asdict(blocks) == dataclasses.asdict(interp)
+    monkeypatch.setattr(superblocks, "run_pipeline_superblocks",
+                        lambda sim: pytest.fail("compiled loop taken"))
+    for engine in ("blocks", "superblocks"):
+        stats, _ = _run(pcm, "adpcm_enc", frontend=FrontendConfig(),
+                        engine=engine)
+        assert dataclasses.asdict(stats) == dataclasses.asdict(interp), \
+            engine
 
 
 # ----------------------------------------------------------------------

@@ -338,76 +338,3 @@ def test_cache_verify_classifies_and_prunes(tmp_path):
 def test_cache_verify_empty_directory(tmp_path):
     result = ResultCache(str(tmp_path / "missing")).verify()
     assert result.scanned == 0 and result.pruned == 0
-
-
-# ----------------------------------------------------------------------
-# FuncSpec: batchable functional runs through the same pool front door
-# ----------------------------------------------------------------------
-def test_func_specs_batch_matches_serial():
-    from repro.runner import FuncResult, FuncSpec, execute_func_spec, \
-        execute_func_specs
-
-    specs = [FuncSpec("adpcm_enc", 20 + 7 * i, i) for i in range(5)]
-    batched = execute_func_specs(specs)
-    for spec, got in zip(specs, batched):
-        assert isinstance(got, FuncResult)
-        assert got == execute_func_spec(spec)
-
-
-def test_map_specs_mixes_func_and_run_specs():
-    from repro.runner import FuncResult, FuncSpec
-
-    specs = [FuncSpec("adpcm_enc", 20, 1), spec_of(),
-             FuncSpec("adpcm_enc", 30, 2)]
-    order = []
-    results = map_specs(specs, on_result=lambda i, s, r: order.append(i))
-    assert isinstance(results[0], FuncResult)
-    assert isinstance(results[1], PipelineStats)
-    assert isinstance(results[2], FuncResult)
-    assert sorted(order) == [0, 1, 2]
-    assert dataclasses.asdict(results[1]) \
-        == dataclasses.asdict(execute_spec(specs[1]))
-
-
-def test_func_specs_group_by_program_digest():
-    """Two workload names assembling different programs must not share
-    a batch; same name + same budget must."""
-    from repro.runner.batch import _group_key, FuncSpec
-
-    digests = {}
-    k_enc = _group_key(FuncSpec("adpcm_enc", 10, 0), digests)
-    k_enc2 = _group_key(FuncSpec("adpcm_enc", 40, 3), digests)
-    k_dec = _group_key(FuncSpec("adpcm_dec", 10, 0), digests)
-    k_budget = _group_key(FuncSpec("adpcm_enc", 10, 0,
-                                   max_instructions=100), digests)
-    assert k_enc == k_enc2
-    assert k_enc != k_dec
-    assert k_enc != k_budget
-
-
-def test_func_spec_rejects_collect_metrics():
-    from repro.runner import FuncSpec
-
-    with pytest.raises(ValueError):
-        map_specs([FuncSpec("adpcm_enc", 8, 0)], collect_metrics=True)
-
-
-def test_func_spec_bad_lane_is_quarantined():
-    """A lane that trips its instruction budget settles as a
-    FailedResult without aborting its healthy batch neighbours."""
-    from repro.runner import FailedResult, FuncSpec
-
-    # one batched group (same program, same budget): the long lane
-    # trips the budget, the short lane completes
-    specs = [FuncSpec("adpcm_enc", 40, 1, max_instructions=800),
-             FuncSpec("adpcm_enc", 12, 2, max_instructions=800),
-             FuncSpec("adpcm_enc", 40, 1, max_instructions=50)]
-    results = map_specs(specs, on_error="return")
-    assert isinstance(results[0], FailedResult)
-    assert results[0].kind == "error"
-    assert "budget" in results[0].error
-    assert not isinstance(results[1], FailedResult)
-    # singleton group (unique budget) quarantines through the serial path
-    assert isinstance(results[2], FailedResult)
-    with pytest.raises(RuntimeError):
-        map_specs(specs, on_error="raise")

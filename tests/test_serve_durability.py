@@ -19,7 +19,8 @@ import json
 import os
 
 from repro.runner import FailedResult, RunSpec, run_sweep
-from repro.serve import JobStore, ServeConfig
+from repro.serve import Job, JobStore, ServeConfig, spec_key, spec_to_wire
+from repro.sim import ENGINES
 from repro.telemetry import RingBufferSink
 from repro.telemetry.events import SERVE_RECOVER
 from repro.wal import load_jsonl
@@ -150,6 +151,44 @@ def test_torn_wal_tail_dropped_and_repaired(tmp_path):
     assert dropped == 0
     assert [r["kind"] for r in records] == ["meta", "result"]
     store.close()
+
+
+#: a job WAL's meta record exactly as the previous release wrote it,
+#: when ``RunSpec.engine`` defaulted to ``"interp"``
+PARENT_ERA_META = (
+    '{"collect_metrics": false, "deadline_at": null, "job": "job-000001",'
+    ' "job_kind": "sweep", "kind": "meta", "meta": {}, "specs": '
+    '[{"backend": "inorder", "bdt_update": "execute", "benchmark": '
+    '"adpcm_enc", "bit_capacity": 16, "btb_l1_entries": 64, '
+    '"btb_l2_assoc": 4, "btb_l2_entries": 2048, "engine": "interp", '
+    '"fdip": false, "frontend": false, "ftq_depth": 8, "iq_size": 16, '
+    '"issue_width": 2, "min_count": 16, "min_fold_fraction": 0.5, '
+    '"n_samples": 64, "phys_regs": 64, "predictor_spec": "not-taken", '
+    '"rob_size": 32, "seed": 11, "with_asbr": false}], '
+    '"submitted": 1792199009.6804347, "version": 1}')
+
+
+def test_replay_decodes_every_engine_name():
+    """Replay drops a job whose specs fail the strict wire decode, so
+    every engine name a WAL may carry must still decode — each accepted
+    name, and the ``"interp"`` default of a parent-era record — and all
+    of them onto the key of a spec that names no engine."""
+    key = spec_key(make_spec())
+    meta = Job("job-000002", "sweep", [make_spec()]).wal_meta()
+    meta["specs"] = [dict(spec_to_wire(make_spec()), engine=engine)
+                     for engine in ENGINES]
+    job = Job.replay([meta])
+    assert job is not None
+    assert [spec.engine for spec in job.specs] == list(ENGINES)
+    assert {spec_key(spec) for spec in job.specs} == {key}
+
+    parent = Job.replay([json.loads(PARENT_ERA_META)])
+    assert parent is not None and parent.id == "job-000001"
+    (spec,) = parent.specs
+    assert spec.engine == "interp"
+    assert spec == RunSpec("adpcm_enc", 64, 11, "not-taken",
+                           engine="interp")
+    assert spec_key(spec) == key
 
 
 def test_pruned_job_wal_removed(tmp_path):

@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.serve import ServeConfig
+from repro.sim import ENGINES
 
 from tests.serve_utils import ServerThread, blast, http_payload, spec_wire
 
@@ -151,18 +152,18 @@ class TestCoalescing:
             client.close()
 
     def test_engine_variants_coalesce_onto_one_key(self, tmp_path):
-        """interp and blocks requests for the same point share a key
-        (PR 5 invariant), so the second engine is a pure cache hit."""
+        """Every accepted engine name, and a body naming none, shares
+        one key (PR 5 invariant), so only the first request executes."""
         config = ServeConfig(cache_dir=str(tmp_path / "cache"),
                              shards=256, workers=0)
         with ServerThread(config) as st:
             client = st.client()
-            first = client.run(spec_wire(engine="interp"))
-            second = client.run(spec_wire(engine="blocks"))
-            assert first["key"] == second["key"]
+            first = client.run(spec_wire())
             assert first["source"] == "executed"
-            assert second["source"] == "memory"
-            assert second["stats"] == \
-                first["stats"]
+            for engine in ENGINES:
+                again = client.run(spec_wire(engine=engine))
+                assert again["key"] == first["key"], engine
+                assert again["source"] == "memory", engine
+                assert again["stats"] == first["stats"], engine
             assert client.stats()["counters"]["executions"] == 1
             client.close()

@@ -27,6 +27,7 @@ from repro.serve import (
     spec_key,
     spec_to_wire,
 )
+from repro.sim import ENGINES
 
 # small input sizes keep the (memoised) input digests cheap; two real
 # benchmarks exercise distinct program digests
@@ -46,7 +47,7 @@ wire_bodies = st.fixed_dictionaries(
         "min_fold_fraction": st.floats(min_value=0.0, max_value=1.0,
                                        allow_nan=False),
         "min_count": st.integers(min_value=0, max_value=256),
-        "engine": st.sampled_from(["interp", "blocks"]),
+        "engine": st.sampled_from(ENGINES),
         "frontend": st.booleans(),
         "btb_l1_entries": st.sampled_from([16, 64, 256]),
         "btb_l2_entries": st.sampled_from([512, 2048]),
@@ -79,8 +80,8 @@ def test_equal_specs_share_key_and_shard(body):
         assert shard_path(spec, shards) == shard_path(again, shards)
 
 
-@given(body=wire_bodies, engine_a=st.sampled_from(["interp", "blocks"]),
-       engine_b=st.sampled_from(["interp", "blocks"]))
+@given(body=wire_bodies, engine_a=st.sampled_from(ENGINES),
+       engine_b=st.sampled_from(ENGINES))
 @SETTINGS
 def test_engine_never_enters_key_or_shard(body, engine_a, engine_b):
     a = spec_from_wire(dict(body, engine=engine_a))

@@ -4,8 +4,9 @@ These numbers were produced by the original (pre-fast-path) simulator
 and must never drift: any change to ``PipelineSimulator`` that alters a
 single cycle, fetch, squash or stall count on these small inputs is a
 timing-model change, not an optimisation, and must be reviewed as such.
-Every lock runs under both execution engines — the block-compiled
-engine (``engine="blocks"``) must reproduce the interpreted numbers
+Every lock runs under the interpreted engine and under the compiled
+loop, by both of its names (``"superblocks"``, the default, and its
+alias ``"blocks"``), which must reproduce the interpreted numbers
 bit-for-bit.
 
 The inputs are deliberately small (96 PCM samples) so the whole module
