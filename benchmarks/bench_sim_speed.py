@@ -9,7 +9,7 @@ experiments can afford.
 from repro.asbr import ASBRUnit, extract_branch_info
 from repro.asm import assemble
 from repro.predictors import BimodalPredictor, GSharePredictor
-from repro.sim.functional import FunctionalSimulator
+from repro.sim.functional import FunctionalSimulator, collect_branch_trace
 from repro.sim.ooo import OoOConfig, OoOSimulator
 from repro.sim.pipeline import PipelineSimulator
 from repro.workloads import get_workload
@@ -127,8 +127,10 @@ def test_pipeline_superblocks_speed(benchmark):
 def test_sim_speed_summary(save_table):
     """Record simulator × engine throughput (ops/sec) under results/.
 
-    Best-of-3 wall-clock on the adpcm_enc workload: a 6-way matrix —
-    the functional simulator's interpreted and block-compiled engines;
+    Best-of-3 wall-clock on the adpcm_enc workload: a 7-way matrix —
+    the functional simulator's interpreted and block-compiled engines,
+    and the profiling pass (``collect_branch_trace``: the block-compiled
+    engine with the branch trace and fold distances recorded);
     the pipeline's interpreted loop and its compiled superblocks loop
     (the default; both with the ASBR unit and auxiliary predictor
     attached, and their ``PipelineStats`` asserted bit-identical); and
@@ -164,7 +166,13 @@ def test_sim_speed_summary(save_table):
     def measure(simulator, engine):
         best = work = 0
         for _ in range(3):
-            if simulator == "functional":
+            if simulator == "functional" and engine == "profile":
+                mem = wl.build_memory(pcm)
+                t0 = time.perf_counter()
+                trace = collect_branch_trace(prog, mem)
+                dt = time.perf_counter() - t0
+                ops, unit = trace.instructions, "instructions/s"
+            elif simulator == "functional":
                 sim = FunctionalSimulator(prog, wl.build_memory(pcm),
                                           engine=engine)
                 t0 = time.perf_counter()
@@ -197,7 +205,7 @@ def test_sim_speed_summary(save_table):
         return best, work, unit
 
     # (simulator, engines, baseline engine or None)
-    matrix = (("functional", ("interp", "blocks"), "interp"),
+    matrix = (("functional", ("interp", "blocks", "profile"), "interp"),
               ("pipeline", ("interp", "superblocks"), "interp"),
               ("ooo", ("w1", "w2"), "w1"))
     rates = {}

@@ -1,4 +1,4 @@
-"""CI perf-smoke gate: the compiled pipeline loop must earn its keep.
+"""CI perf-smoke gate: the compiled engines must earn their keep.
 
 A coarse anti-regression check, not a tight threshold: it first proves
 compiled-vs-interpreted equivalence on a quick sweep (both simulators,
@@ -12,7 +12,15 @@ serves:
 * ASBR — threshold-2 folding with the ``bimodal-512-512`` auxiliary
   predictor, where the compiled fold checks are on the hot path.
 
-Run as a plain script::
+It also checks the front half of an ASBR run: the compiled profiling
+pass must reproduce the per-instruction reference profiler, plan-loop
+trace and bimodal-2048 replay (the oracle of
+``tests/test_profile_pass.py``) on every workload, and the compiled
+front half (one pass plus the replay) must run at least
+:data:`MIN_PROFILE_SPEEDUP` times faster than the reference's (profile,
+trace, replay) on ADPCM.
+
+Run as a plain script from the repository root::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py
 
@@ -21,11 +29,12 @@ clock assertions do not belong in the correctness suite.
 """
 
 import dataclasses
+import os
 import sys
 import time
 
 from repro.asbr import ASBRUnit
-from repro.predictors import make_predictor
+from repro.predictors import evaluate_on_trace, make_predictor
 from repro.profiling import BranchProfiler, select_branches
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import OoOConfig, OoOSimulator
@@ -33,10 +42,23 @@ from repro.sim.pipeline import DEFAULT_ENGINE, PipelineSimulator
 from repro.workloads import get_workload
 from repro.workloads.inputs import speech_like
 
+# the reference profiler lives with the tests that lock the pass to it
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+from tests.test_profile_pass import (  # noqa: E402
+    assert_equivalent,
+    reference_profile,
+    reference_trace,
+)
+
 WORKLOAD = "adpcm_enc"
 EQUIV_SAMPLES = 96
 RACE_SAMPLES = 8000
+PROFILE_RACE_SAMPLES = 2000
 REPS = 3
+#: compiled front half vs the reference's, on ADPCM (6.3x and 9.4x in
+#: two runs on a 2-vCPU host)
+MIN_PROFILE_SPEEDUP = 4.0
 
 
 def check_equivalence() -> None:
@@ -137,9 +159,58 @@ def race(with_asbr: bool) -> int:
     return 0
 
 
+def check_profile_equivalence() -> None:
+    from repro.workloads.loader import WORKLOAD_NAMES
+
+    for name in WORKLOAD_NAMES:
+        wl = get_workload(name)
+        stream = wl.input_stream(speech_like(EQUIV_SAMPLES, seed=11))
+        assert_equivalent(wl.program, lambda: wl.build_memory(stream))
+    print("profile equivalence: OK (%d workloads, %d samples: profile, "
+          "trace and bimodal-2048 replay)"
+          % (len(WORKLOAD_NAMES), EQUIV_SAMPLES))
+
+
+def race_profile() -> int:
+    """Best-of-REPS seconds of the front half, compiled vs reference."""
+    wl = get_workload(WORKLOAD)
+    stream = wl.input_stream(speech_like(PROFILE_RACE_SAMPLES, seed=42))
+
+    def reference(memory, memory2):
+        reference_profile(wl.program, memory)
+        trace = reference_trace(wl.program, memory2)
+        evaluate_on_trace(make_predictor("bimodal-2048"), trace)
+
+    def compiled(memory, _memory2):
+        profile = BranchProfiler().profile(wl.program, memory)
+        evaluate_on_trace(make_predictor("bimodal-2048"), profile.trace)
+
+    def best_time(front_half):
+        best = float("inf")
+        for _ in range(REPS):
+            memories = wl.build_memory(stream), wl.build_memory(stream)
+            t0 = time.perf_counter()
+            front_half(*memories)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    ref = best_time(reference)
+    fast = best_time(compiled)
+    print("race (profile): reference %.1f ms, compiled %.1f ms (%.1fx)"
+          % (ref * 1e3, fast * 1e3, ref / fast))
+    if ref / fast < MIN_PROFILE_SPEEDUP:
+        print("FAIL: the compiled front half is less than %.0fx faster "
+              "than the reference on %s" % (MIN_PROFILE_SPEEDUP, WORKLOAD),
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def main() -> int:
     check_equivalence()
-    return race(with_asbr=False) or race(with_asbr=True)
+    check_profile_equivalence()
+    return (race(with_asbr=False) or race(with_asbr=True)
+            or race_profile())
 
 
 if __name__ == "__main__":

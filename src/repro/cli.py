@@ -54,10 +54,10 @@ from typing import Optional
 from repro.asbr import ASBRUnit
 from repro.asm import assemble
 from repro.isa.registers import REG_NAMES
-from repro.predictors import evaluate_on_trace, make_predictor
-from repro.profiling import BranchProfiler, select_branches
-from repro.sim.functional import (ENGINES, FunctionalSimulator,
-                                  collect_branch_trace)
+from repro.predictors import make_predictor
+from repro.profiling import (BranchProfiler, profile_and_select,
+                             select_branches)
+from repro.sim.functional import ENGINES, FunctionalSimulator
 from repro.sim.pipeline import DEFAULT_ENGINE, PipelineSimulator
 
 
@@ -172,12 +172,9 @@ def cmd_run(args) -> int:
 def _build_asbr(prog, args) -> Optional[ASBRUnit]:
     if not args.asbr:
         return None
-    profile = BranchProfiler().profile(prog)
-    trace = collect_branch_trace(prog)
-    accuracy = evaluate_on_trace(make_predictor(args.predictor), trace)
-    selection = select_branches(profile, accuracy,
-                                bit_capacity=args.bit_size,
-                                bdt_update=args.bdt_update)
+    selection = profile_and_select(prog, baseline=args.predictor,
+                                   bit_capacity=args.bit_size,
+                                   bdt_update=args.bdt_update).selection
     print(selection.describe(), file=sys.stderr)
     return ASBRUnit.from_branch_infos(selection.infos,
                                       capacity=args.bit_size,
@@ -197,9 +194,8 @@ def cmd_sim(args) -> int:
 
 def cmd_profile(args) -> int:
     prog = _load_program(args.file)
-    profile = BranchProfiler().profile(prog)
-    trace = collect_branch_trace(prog)
-    accuracy = evaluate_on_trace(make_predictor(args.predictor), trace)
+    profile, accuracy, _ = profile_and_select(prog,
+                                              baseline=args.predictor)
     print("%d instructions, %d static branches, %d executions"
           % (profile.total_instructions, len(profile.branches),
              profile.total_branch_executions))

@@ -26,10 +26,10 @@ from repro.asbr import ASBRUnit
 from repro.experiments import paper_data
 from repro.predictors import evaluate_on_trace, make_predictor
 from repro.predictors.evaluate import PredictorAccuracy
-from repro.profiling import BranchProfiler, SelectionResult, select_branches
+from repro.profiling import BranchProfiler, SelectionResult, profile_and_select
 from repro.profiling.profiler import BranchProfile
 from repro.runner import ResultCache, RunSpec, key_for_spec, run_sweep
-from repro.sim.functional import BranchRecord, collect_branch_trace
+from repro.sim.functional import BranchRecord
 from repro.sim.pipeline import PipelineStats
 from repro.workloads import get_workload, speech_like
 from repro.workloads.loader import Workload
@@ -67,8 +67,6 @@ class ExperimentSetup:
     _pcm: Optional[list] = field(default=None, repr=False)
     _profiles: Dict[str, BranchProfile] = field(default_factory=dict,
                                                 repr=False)
-    _traces: Dict[str, List[BranchRecord]] = field(default_factory=dict,
-                                                   repr=False)
     _runs: Dict[tuple, PipelineStats] = field(default_factory=dict,
                                               repr=False)
     _selections: Dict[tuple, SelectionResult] = field(default_factory=dict,
@@ -95,13 +93,8 @@ class ExperimentSetup:
         return self._profiles[name]
 
     def trace(self, name: str) -> List[BranchRecord]:
-        """Branch outcome trace of one benchmark (cached)."""
-        if name not in self._traces:
-            wl = self.workload(name)
-            stream = wl.input_stream(self.pcm)
-            self._traces[name] = collect_branch_trace(
-                wl.program, wl.build_memory(stream))
-        return self._traces[name]
+        """Branch outcome trace of one benchmark (the profile's run)."""
+        return self.profile(name).trace
 
     def accuracy(self, name: str, predictor_spec: str,
                  skip_pcs=None) -> PredictorAccuracy:
@@ -118,10 +111,9 @@ class ExperimentSetup:
         upd = bdt_update if bdt_update is not None else self.bdt_update
         key = (name, cap, upd)
         if key not in self._selections:
-            baseline = self.accuracy(name, "bimodal-2048")
-            self._selections[key] = select_branches(
-                self.profile(name), baseline,
-                bit_capacity=cap, bdt_update=upd)
+            self._selections[key] = profile_and_select(
+                self.workload(name).program, profile=self.profile(name),
+                bit_capacity=cap, bdt_update=upd).selection
         return self._selections[key]
 
     # ------------------------------------------------------------------

@@ -195,10 +195,8 @@ class _Context:
     """
 
     def __init__(self, cfg: CampaignConfig) -> None:
-        from repro.predictors import evaluate_on_trace, make_predictor
-        from repro.profiling import BranchProfiler, select_branches
-        from repro.runner.pool import SELECTION_BASELINE
-        from repro.sim.functional import collect_branch_trace
+        from repro.predictors import make_predictor
+        from repro.profiling import profile_and_select
         from repro.sim.pipeline import PipelineConfig
         from repro.workloads import get_workload, speech_like
 
@@ -208,18 +206,12 @@ class _Context:
         self.golden = self.wl.golden_output(self.pcm)
         self._make_predictor = make_predictor
 
-        # profile-driven selection, exactly as repro.runner.pool._execute
-        stream = self.wl.input_stream(self.pcm)
-        memory = self.wl.build_memory(stream)
-        profile = BranchProfiler().profile(self.wl.program, memory)
-        trace_b = collect_branch_trace(self.wl.program,
-                                       self.wl.build_memory(stream))
-        baseline = evaluate_on_trace(make_predictor(SELECTION_BASELINE),
-                                     trace_b)
-        sel = select_branches(profile, baseline,
-                              bit_capacity=cfg.bit_capacity,
-                              bdt_update=cfg.bdt_update)
-        self.infos = sel.infos
+        # profile-driven selection, the front half of
+        # repro.runner.pool._execute
+        memory = self.wl.build_memory(self.wl.input_stream(self.pcm))
+        self.infos = profile_and_select(
+            self.wl.program, memory, bit_capacity=cfg.bit_capacity,
+            bdt_update=cfg.bdt_update).selection.infos
 
         ref = self.wl.run_pipeline(self.pcm,
                                    predictor=self.predictor(),

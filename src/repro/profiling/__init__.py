@@ -13,6 +13,9 @@ the branch for the configured BDT forwarding path).
 * :func:`~repro.profiling.selection.select_branches` filters and ranks
   candidates and returns loaded-BIT-ready :class:`BranchInfo` records
   plus a per-branch report table (the paper's Figures 7, 9, 10).
+* :func:`~repro.profiling.selection.profile_and_select` chains the two
+  with the baseline predictor's replay of the profile's branch trace:
+  the front half of every ASBR run.
 """
 
 from repro.profiling.profiler import (
@@ -21,16 +24,22 @@ from repro.profiling.profiler import (
     BranchStats,
 )
 from repro.profiling.selection import (
+    SELECTION_BASELINE,
+    ProfiledSelection,
     SelectedBranch,
     SelectionResult,
+    profile_and_select,
     select_branches,
 )
 
 __all__ = [
+    "SELECTION_BASELINE",
     "BranchProfile",
     "BranchProfiler",
     "BranchStats",
+    "ProfiledSelection",
     "SelectedBranch",
     "SelectionResult",
+    "profile_and_select",
     "select_branches",
 ]

@@ -1,12 +1,13 @@
 """Branch profiler: execution counts, taken rates and fold distances.
 
-Runs the program once on the functional simulator, tracking for every
-register the retire-index of its last producer.  At each conditional
-branch it records the *definition-to-branch distance* — the number of
-dynamic instructions between the predicate-defining instruction and the
-branch — which, compared against the pipeline *threshold* (paper
-Section 5), decides whether an ASBR fold would succeed on that
-execution.
+Runs the program once on the functional simulator and records, at every
+conditional branch, its outcome and its *definition-to-branch distance*
+— the number of dynamic instructions between the predicate-defining
+instruction and the branch — which, compared against the pipeline
+*threshold* (paper Section 5), decides whether an ASBR fold would
+succeed on that execution.  The run is
+:func:`repro.sim.functional.collect_branch_trace`, so the profile keeps
+the branch trace the selection baseline replays.
 
 Load-produced predicates are tracked separately: a load delivers its
 value at the memory stage, so under the aggressive ``execute`` BDT
@@ -16,17 +17,15 @@ update it still behaves like the ``mem`` one (threshold 3 instead of 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.asbr.folding import THRESHOLD_BY_UPDATE
 from repro.asm.program import Program
 from repro.isa.conditions import Condition
 from repro.isa.instruction import Instruction
 from repro.memory.main_memory import MainMemory
-from repro.sim.functional import FunctionalSimulator
-
-#: Distances larger than this are recorded as "far" (always foldable).
-FAR_DISTANCE = 1 << 30
+from repro.sim import functional
+from repro.sim.functional import FAR_DISTANCE, BranchRecord
 
 
 @dataclass
@@ -67,6 +66,9 @@ class BranchProfile:
     program: Program
     branches: Dict[int, BranchStats] = field(default_factory=dict)
     total_instructions: int = 0
+    #: the run's branch outcomes, in order (the selection baseline
+    #: replays it)
+    trace: List[BranchRecord] = field(default_factory=list, repr=False)
 
     @property
     def total_branch_executions(self) -> int:
@@ -86,53 +88,29 @@ class BranchProfiler:
 
     def profile(self, program: Program,
                 memory: Optional[MainMemory] = None) -> BranchProfile:
-        sim = FunctionalSimulator(program, memory)
-        result = BranchProfile(program)
-        branches = result.branches
-        last_def_index = [-FAR_DISTANCE] * 32
-        last_def_load = [False] * 32
-        index = 0
-
-        while not sim.halted:
-            if index >= self.max_instructions:
-                raise RuntimeError("profiling instruction budget exhausted")
-            pc = sim.pc
-            instr = sim.program.instr_at(pc)
-
-            if instr.is_branch:
-                stats = branches.get(pc)
-                if stats is None:
-                    stats = BranchStats(pc=pc, instr=instr,
-                                        target=instr.branch_target(pc),
-                                        zero_cond=instr.zero_condition)
-                    branches[pc] = stats
-                taken = sim.branch_outcome(instr)
-                stats.count += 1
-                if taken:
-                    stats.taken += 1
-                zc = stats.zero_cond
-                if zc is not None:
-                    _reg = zc[1]
-                    distance = index - last_def_index[_reg]
-                    if distance < stats.min_distance:
-                        stats.min_distance = distance
-                    is_load = last_def_load[_reg]
-                    if is_load:
-                        stats.load_produced += 1
-                    for update, threshold in THRESHOLD_BY_UPDATE.items():
-                        eff = threshold
-                        if is_load and update == "execute":
-                            eff = THRESHOLD_BY_UPDATE["mem"]
-                        if distance > eff:
-                            stats.foldable[update] += 1
-
-            dest = instr.dest_reg
-            if dest is not None and dest != 0:
-                last_def_index[dest] = index
-                last_def_load[dest] = instr.is_load
-
-            sim.execute(instr)
-            index += 1
-
-        result.total_instructions = index
+        # looked up on the module, so a wrapper installed there (the
+        # end-to-end benchmark's spans) sees the call
+        trace = functional.collect_branch_trace(program, memory,
+                                                self.max_instructions)
+        result = BranchProfile(program,
+                               total_instructions=trace.instructions,
+                               trace=trace)
+        mem_threshold = THRESHOLD_BY_UPDATE["mem"]
+        for pc, tally in trace.tallies.items():
+            instr = program.instr_at(pc)
+            stats = BranchStats(pc=pc, instr=instr, count=tally.count,
+                                taken=tally.taken,
+                                target=instr.branch_target(pc),
+                                zero_cond=instr.zero_condition)
+            for (distance, is_load), n in tally.distances.items():
+                if distance < stats.min_distance:
+                    stats.min_distance = distance
+                if is_load:
+                    stats.load_produced += n
+                for update, threshold in THRESHOLD_BY_UPDATE.items():
+                    if is_load and update == "execute":
+                        threshold = mem_threshold
+                    if distance > threshold:
+                        stats.foldable[update] += n
+            result.branches[pc] = stats
         return result

@@ -13,20 +13,32 @@ where ``accuracy`` is the baseline predictor's accuracy on this branch
 Selection filters out branches ASBR hardware cannot handle (two-register
 compares, control-flow replacement instructions, r0 predicates) and
 branches that would rarely fold at the configured BDT update point.
+
+:func:`profile_and_select` is the whole front half of an ASBR run —
+profile, baseline replay of the profile's trace, selection — and every
+caller that needs it goes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.asbr.branch_info import (
     BranchInfo,
     FoldabilityError,
     extract_branch_info,
 )
+from repro.asm.program import Program
+from repro.memory.main_memory import MainMemory
+from repro.predictors import evaluate
 from repro.predictors.evaluate import PredictorAccuracy
+from repro.profiling import profiler
 from repro.profiling.profiler import BranchProfile, BranchStats
+
+#: the predictor whose per-branch accuracy ranks candidates (paper: the
+#: 2048-entry bimodal ASBR displaces)
+SELECTION_BASELINE = "bimodal-2048"
 
 
 @dataclass
@@ -126,3 +138,34 @@ def select_branches(profile: BranchProfile,
     for s in candidates[bit_capacity:]:
         result.rejected[s.pc] = "beyond BIT capacity %d" % bit_capacity
     return result
+
+
+class ProfiledSelection(NamedTuple):
+    """What :func:`profile_and_select` computed."""
+
+    profile: BranchProfile
+    baseline: PredictorAccuracy     # the baseline predictor's replay
+    selection: SelectionResult
+
+
+def profile_and_select(program: Program,
+                       memory: Optional[MainMemory] = None,
+                       baseline: str = SELECTION_BASELINE,
+                       profile: Optional[BranchProfile] = None,
+                       **policy) -> ProfiledSelection:
+    """Profile ``program`` on ``memory``, replay the ``baseline``
+    predictor over the profile's branch trace, and select branches.
+
+    One functional pass yields both the profile and the trace.  A
+    caller that already holds the ``profile`` passes it to skip that
+    pass.  ``policy`` holds :func:`select_branches`' keyword arguments.
+    The three steps are looked up as module attributes at call time, so
+    a wrapper installed on any of them (the end-to-end benchmark's
+    spans) sees every call.
+    """
+    if profile is None:
+        profile = profiler.BranchProfiler().profile(program, memory)
+    accuracy = evaluate.evaluate_on_trace(evaluate.make_predictor(baseline),
+                                          profile.trace)
+    return ProfiledSelection(profile, accuracy,
+                             select_branches(profile, accuracy, **policy))

@@ -21,11 +21,10 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+# SELECTION_BASELINE is re-exported: the result cache's config digest
+# names it
+from repro.profiling.selection import SELECTION_BASELINE  # noqa: F401
 from repro.sim.pipeline import DEFAULT_ENGINE, PipelineStats
-
-#: selection baseline used by profile-driven branch selection; matches
-#: ExperimentSetup.selection (the paper's reference predictor).
-SELECTION_BASELINE = "bimodal-2048"
 
 
 @dataclass(frozen=True)
@@ -77,34 +76,28 @@ class RunSpec:
 def _execute(spec: RunSpec, trace=None) -> PipelineStats:
     """Shared body of :func:`execute_spec` / :func:`execute_spec_metrics`.
 
-    Mirrors ``ExperimentSetup.run``: for ASBR configurations the
-    benchmark is first profiled, a ``bimodal-2048`` trace accuracy is
-    collected as the selection baseline, and the BIT branch set is
-    chosen by :func:`repro.profiling.select_branches`.  The run's
-    outputs are checked against the workload's golden model; a mismatch
-    raises ``AssertionError`` (and is therefore never cached).
+    Mirrors ``ExperimentSetup.run``: for ASBR configurations the BIT
+    branch set is chosen by :func:`repro.profiling.profile_and_select`
+    (one profiling pass, a ``bimodal-2048`` replay of its trace as the
+    selection baseline, then selection).  The run's outputs are checked
+    against the workload's golden model; a mismatch raises
+    ``AssertionError`` (and is therefore never cached).
     """
     from repro.asbr import ASBRUnit
-    from repro.predictors import evaluate_on_trace, make_predictor
-    from repro.profiling import BranchProfiler, select_branches
-    from repro.sim.functional import collect_branch_trace
+    from repro.predictors import make_predictor
+    from repro.profiling import profile_and_select
     from repro.workloads import get_workload, speech_like
 
     wl = get_workload(spec.benchmark)
     pcm = speech_like(spec.n_samples, spec.seed)
     asbr = None
     if spec.with_asbr:
-        stream = wl.input_stream(pcm)
-        memory = wl.build_memory(stream)
-        profile = BranchProfiler().profile(wl.program, memory)
-        trace_b = collect_branch_trace(wl.program, wl.build_memory(stream))
-        baseline = evaluate_on_trace(make_predictor(SELECTION_BASELINE),
-                                     trace_b)
-        sel = select_branches(profile, baseline,
-                              bit_capacity=spec.bit_capacity,
-                              bdt_update=spec.bdt_update,
-                              min_fold_fraction=spec.min_fold_fraction,
-                              min_count=spec.min_count)
+        memory = wl.build_memory(wl.input_stream(pcm))
+        sel = profile_and_select(wl.program, memory,
+                                 bit_capacity=spec.bit_capacity,
+                                 bdt_update=spec.bdt_update,
+                                 min_fold_fraction=spec.min_fold_fraction,
+                                 min_count=spec.min_count).selection
         asbr = ASBRUnit.from_branch_infos(sel.infos,
                                           capacity=spec.bit_capacity,
                                           bdt_update=spec.bdt_update)

@@ -22,7 +22,9 @@ The functional and pipeline simulators each have two engines,
 * :mod:`~repro.sim.blocks` — the functional simulator's compiled
   engine (``engine="blocks"``, or its alias ``"superblocks"``): basic
   blocks are compiled to specialized Python functions, memoised per
-  process.  The functional default stays ``interp``.
+  process.  The functional default stays ``interp``; the translator's
+  profiling mode is :func:`collect_branch_trace`, the one functional
+  pass behind branch profiling.
 """
 
 from repro.sim.blocks import CompiledBlocks, compile_blocks
@@ -31,6 +33,7 @@ from repro.sim.functional import (
     FunctionalSimulator,
     SimulationError,
     BranchRecord,
+    BranchTrace,
     collect_branch_trace,
 )
 from repro.sim.ooo import OoOConfig, OoOSimulator, OoOStats
@@ -47,6 +50,7 @@ __all__ = [
     "FunctionalSimulator",
     "SimulationError",
     "BranchRecord",
+    "BranchTrace",
     "collect_branch_trace",
     "PipelineConfig",
     "PipelineSimulator",

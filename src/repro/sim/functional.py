@@ -5,10 +5,12 @@ architectural state defines correctness for the pipelined simulator: for
 any program and any pipeline configuration (predictor, ASBR on/off), the
 final registers and memory must match this model exactly.
 
-The simulator also doubles as the profiling engine: ``run`` accepts an
-*observer* that is called on every retired instruction, which the branch
-profiler in :mod:`repro.profiling` uses to collect branch outcome traces
-and definition-to-branch distances.
+``run`` accepts an *observer* that is called on every retired
+instruction (telemetry rides it).  Profiling does not: the branch
+profiler in :mod:`repro.profiling` gets its outcome trace and its
+definition-to-branch distances from :func:`collect_branch_trace`, one
+run on the profiling mode of the block-compiled engine
+(:mod:`repro.sim.blocks`).
 
 Fast path
 ---------
@@ -24,8 +26,9 @@ the plans must reproduce (see ``tests/test_differential_random.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+import weakref
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.asm.program import Program, STACK_TOP
 from repro.isa.alu import (
@@ -57,13 +60,48 @@ class SimulationError(RuntimeError):
 ENGINES = ("interp", "blocks", "superblocks")
 
 
-@dataclass
+#: Definition-to-branch distances from this far up count as "far"
+#: (always foldable); a predicate never written, or r0, sits here.
+FAR_DISTANCE = 1 << 30
+
+
+@dataclass(frozen=True)
 class BranchRecord:
-    """One dynamic conditional-branch execution."""
+    """One dynamic conditional-branch execution.
+
+    Immutable: a trace holds one shared record per (branch, outcome).
+    """
 
     pc: int
     taken: bool
     target: int          # taken-target address
+
+
+@dataclass
+class BranchTally:
+    """One static conditional branch's totals over a run."""
+
+    count: int = 0
+    taken: int = 0
+    #: ``(distance, from_load) -> executions`` for zero-comparison
+    #: branches: dynamic instructions from the last write of the
+    #: predicate register to the branch (capped at FAR_DISTANCE), and
+    #: whether that write was a load.  Empty for two-register compares.
+    distances: Dict[Tuple[int, bool], int] = field(default_factory=dict)
+
+
+class BranchTrace(list):
+    """The :class:`BranchRecord` list of one run, in execution order.
+
+    ``tallies`` maps each executed branch's pc to its
+    :class:`BranchTally`, in first-execution order; ``instructions`` is
+    the run's retired-instruction count.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tallies: Dict[int, BranchTally] = {}
+        self.instructions = 0
 
 
 class FunctionalSimulator:
@@ -92,8 +130,8 @@ class FunctionalSimulator:
         block-to-block successors.  ``run`` falls back to the
         interpreted loop whenever an observer or tracer is attached
         (they need per-instruction visibility).  The default stays
-        ``"interp"`` because the profiler and
-        :func:`collect_branch_trace` only single-step.
+        ``"interp"``, the reference the compiled engine is checked
+        against.
     """
 
     def __init__(self, program: Program,
@@ -120,18 +158,12 @@ class FunctionalSimulator:
         self.halted = False
         self.instructions_retired = 0
         self.ctl_writes: List[int] = []   # values written via ctlw
+        # the plans are also the block engine's precise single-step
+        # path for budget tails and indirect-jump misses
         self._plans: List[Callable[[], int]] = [
             self._compile(instr, program.pc_of(i))
             for i, instr in enumerate(program.instrs)
         ]
-        # block engine: compiled superblocks bound to this simulator's
-        # registers/memory.  The plans above stay — they are the precise
-        # single-step path for budget tails and indirect-jump misses.
-        self._blocks = None
-        if engine == "blocks":
-            from repro.sim import blocks as _blocks_mod
-            self._blocks = _blocks_mod.bind_functional(self)
-            self._blocks_run = _blocks_mod.run_functional_blocks
 
     # ------------------------------------------------------------------
     # plan compilation (construction-time decode)
@@ -241,8 +273,10 @@ class FunctionalSimulator:
                 return regs[rs]
             return plan
         if k is Kind.HALT:
-            def plan(sim=self, pc4=pc4):
-                sim.halted = True
+            # a weak reference: the simulator owns its plans, so a
+            # strong one would make every simulator a reference cycle
+            def plan(sim=weakref.ref(self), pc4=pc4):
+                sim().halted = True
                 return pc4
             return plan
         if k is Kind.CTL:
@@ -348,11 +382,12 @@ class FunctionalSimulator:
         if trace is not None:
             from repro.telemetry.tracer import retire_observer
             observer = retire_observer(trace, observer)
-        if observer is None and self._blocks is not None:
-            # block-compiled fast path (engine="blocks"); observers and
-            # tracers need per-instruction callbacks, so their presence
-            # falls back to the interpreted loop below
-            return self._blocks_run(self, max_instructions)
+        if observer is None and self.engine == "blocks":
+            # block-compiled fast path; observers and tracers need
+            # per-instruction callbacks, so their presence falls back to
+            # the interpreted loop below
+            from repro.sim.blocks import run_functional_blocks
+            return run_functional_blocks(self, max_instructions)
         plans = self._plans
         instrs = self.program.instrs
         base = self.program.text_base
@@ -411,36 +446,18 @@ def _eval_zero(cond_sym: str, value: int) -> bool:
 def collect_branch_trace(program: Program,
                          memory: Optional[MainMemory] = None,
                          max_instructions: int = 200_000_000
-                         ) -> List[BranchRecord]:
+                         ) -> BranchTrace:
     """Run a program functionally and record every conditional branch.
 
     The resulting trace can replay against any number of standalone
     branch predictors far faster than re-running the full simulation,
     which is how the per-branch accuracy tables (paper Figures 7, 9, 10)
-    are produced.
+    are produced.  The same run tallies, per branch, its outcomes and
+    the definition-to-branch distances :mod:`repro.profiling` reduces
+    to a :class:`~repro.profiling.BranchProfile`.  It is one run on the
+    profiling mode of the block-compiled engine; raises
+    :class:`SimulationError` when ``max_instructions`` run out first.
     """
-    sim = FunctionalSimulator(program, memory)
-    trace: List[BranchRecord] = []
-    append = trace.append
-    plans = sim._plans
-    instrs = program.instrs
-    base = program.text_base
-    n = len(plans)
-    retired = 0
-    try:
-        while not sim.halted:
-            if retired >= max_instructions:
-                raise SimulationError("instruction budget exhausted")
-            pc = sim.pc
-            i = (pc - base) >> 2
-            if pc & 3 or not 0 <= i < n:
-                program.instr_at(pc)   # raises ValueError
-            instr = instrs[i]
-            if instr.is_branch:
-                taken = sim.branch_outcome(instr)
-                append(BranchRecord(pc, taken, instr.branch_target(pc)))
-            sim.pc = plans[i]()
-            retired += 1
-    finally:
-        sim.instructions_retired += retired
-    return trace
+    from repro.sim.blocks import profile_pass
+    return profile_pass(FunctionalSimulator(program, memory),
+                        max_instructions)
