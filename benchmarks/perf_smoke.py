@@ -20,6 +20,12 @@ front half (one pass plus the replay) must run at least
 :data:`MIN_PROFILE_SPEEDUP` times faster than the reference's (profile,
 trace, replay) on ADPCM.
 
+Last, the DSE: a ``GridSearch`` over the ``paper`` space, whose
+in-order points run untraced and read fold coverage off their stats,
+must return the objective vectors of the traced path (the oracle of
+``tests/test_dse_engine.py``) and run at least
+:data:`MIN_DSE_SPEEDUP` times faster than it, both inline on ADPCM.
+
 Run as a plain script from the repository root::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py
@@ -34,6 +40,7 @@ import sys
 import time
 
 from repro.asbr import ASBRUnit
+from repro.dse import Evaluator, GridSearch, paper_space
 from repro.predictors import evaluate_on_trace, make_predictor
 from repro.profiling import BranchProfiler, select_branches
 from repro.sim.functional import FunctionalSimulator
@@ -42,9 +49,11 @@ from repro.sim.pipeline import DEFAULT_ENGINE, PipelineSimulator
 from repro.workloads import get_workload
 from repro.workloads.inputs import speech_like
 
-# the reference profiler lives with the tests that lock the pass to it
+# the reference profiler and the traced DSE path live with the tests
+# that lock the fast paths to them
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))))
+from tests.test_dse_engine import traced_objectives  # noqa: E402
 from tests.test_profile_pass import (  # noqa: E402
     assert_equivalent,
     reference_profile,
@@ -59,6 +68,10 @@ REPS = 3
 #: compiled front half vs the reference's, on ADPCM (6.3x and 9.4x in
 #: two runs on a 2-vCPU host)
 MIN_PROFILE_SPEEDUP = 4.0
+DSE_SAMPLES = 150
+#: untraced paper-space grid vs the traced path, inline on ADPCM
+#: (3.6x-4.2x in four runs on a 2-vCPU host)
+MIN_DSE_SPEEDUP = 2.5
 
 
 def check_equivalence() -> None:
@@ -206,11 +219,40 @@ def race_profile() -> int:
     return 0
 
 
+def race_dse() -> int:
+    """Best-of-REPS seconds of a paper-space grid, untraced vs traced;
+    every repetition must give equal objective vectors."""
+    space = paper_space()
+    untraced = traced = float("inf")
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        ev = Evaluator(WORKLOAD, DSE_SAMPLES, seed=42)
+        got = [r.objectives for r in GridSearch().run(ev, space)]
+        t1 = time.perf_counter()
+        want = traced_objectives(space.points(), WORKLOAD, DSE_SAMPLES, 42)
+        t2 = time.perf_counter()
+        assert got == want, \
+            "untraced DSE objectives diverged from the traced path"
+        untraced = min(untraced, t1 - t0)
+        traced = min(traced, t2 - t1)
+    print("dse equivalence: OK (%s, %d samples, %d paper-space points)"
+          % (WORKLOAD, DSE_SAMPLES, len(space.points())))
+    ratio = traced / untraced
+    print("race (dse grid): traced %.0f ms, untraced %.0f ms (%.1fx)"
+          % (traced * 1e3, untraced * 1e3, ratio))
+    if ratio < MIN_DSE_SPEEDUP:
+        print("FAIL: the untraced DSE grid is less than %.1fx faster "
+              "than the traced path on %s" % (MIN_DSE_SPEEDUP, WORKLOAD),
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def main() -> int:
     check_equivalence()
     check_profile_equivalence()
     return (race(with_asbr=False) or race(with_asbr=True)
-            or race_profile())
+            or race_profile() or race_dse())
 
 
 if __name__ == "__main__":

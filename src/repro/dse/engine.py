@@ -8,8 +8,11 @@ simulator.  ``evaluate(points)`` resolves each point in three layers:
 2. **runner cache** — misses become :class:`~repro.runner.RunSpec`\\ s
    and go through :func:`repro.runner.run_sweep`, which consults the
    content-addressed on-disk cache;
-3. **simulation** — remaining distinct specs run on the worker pool,
-   with telemetry metrics collected for the fold-coverage objective.
+3. **simulation** — remaining distinct specs run on the worker pool.
+   In-order points run untraced and their fold coverage is read off
+   ``PipelineStats``; a batch holding an out-of-order point runs
+   traced, because OoO fold coverage still comes from the telemetry
+   branch tables (see :mod:`repro.dse.objectives`).
 
 Every fresh result is reduced to an
 :class:`~repro.dse.objectives.ObjectiveVector` and journaled before
@@ -108,13 +111,11 @@ class Evaluator:
         n = self.n_samples if n_samples is None else n_samples
         if n not in self._baselines:
             spec = BASELINE_POINT.to_spec(self.benchmark, n, self.seed)
-            (stats, metrics), = run_sweep([spec], workers=1,
-                                          cache=self.cache,
-                                          collect_metrics=True)
+            stats, = run_sweep([spec], workers=1, cache=self.cache)
             self._baselines[n] = stats
             if self.journal is not None and not self._journal_get(
                     BASELINE_POINT, n):
-                vec = extract_objectives(BASELINE_POINT, stats, metrics,
+                vec = extract_objectives(BASELINE_POINT, stats, None,
                                          baseline_stats=stats)
                 self.journal.record_eval(BASELINE_POINT, self.benchmark,
                                          n, self.seed, vec)
@@ -157,8 +158,11 @@ class Evaluator:
         if pending:
             specs = [p.to_spec(self.benchmark, n, self.seed)
                      for p in pending]
+            # only OoO fold coverage needs the telemetry tables;
+            # in-order batches never build a Tracer
+            traced = any(p.backend == "ooo" for p in pending)
             results = run_sweep(specs, workers=self.workers,
-                                cache=self.cache, collect_metrics=True,
+                                cache=self.cache, collect_metrics=traced,
                                 task_timeout=self.task_timeout,
                                 retries=self.retries,
                                 on_error="return" if self.tolerant
@@ -174,7 +178,7 @@ class Evaluator:
                             p, self.benchmark, n, self.seed,
                             result.error, kind=result.kind)
                     continue
-                stats, metrics = result
+                stats, metrics = result if traced else (result, None)
                 vec = extract_objectives(p, stats, metrics, baseline)
                 if self.journal is not None:
                     self.journal.record_eval(p, self.benchmark, n,

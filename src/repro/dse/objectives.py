@@ -8,9 +8,13 @@ Every evaluated design point is reduced to an :class:`ObjectiveVector`:
   reference core (``bimodal-2048``, no ASBR) on the same workload and
   input;
 * ``fold_coverage`` — committed folds / (committed folds + unfolded
-  branch executions), from the run's telemetry tables
-  (:class:`~repro.telemetry.MetricsRegistry`) — the fraction of dynamic
-  conditional branches ASBR removed from the pipeline;
+  branch executions): the fraction of dynamic conditional branches
+  ASBR removed from the pipeline.  Read off the stats
+  (``folds_committed`` / ``branches``), which count exactly these
+  events on the in-order pipeline, or from the run's telemetry tables
+  (:class:`~repro.telemetry.MetricsRegistry`) when the caller passes
+  them: the out-of-order backend's tables also count branches that a
+  later-squashed path resolved, so its stats differ from them;
 * ``table_bits`` — hardware cost of the prediction structures this
   point instantiates: predictor SRAM + BIT + BDT (paper Section 7's
   area argument);
@@ -145,7 +149,8 @@ def ooo_cost_bits(point: DesignPoint) -> int:
 
 
 def fold_coverage(metrics: Optional[dict]) -> float:
-    """Dynamic-branch coverage from serialised telemetry tables."""
+    """Dynamic-branch coverage from serialised telemetry tables (the
+    out-of-order runs' definition: see the module notes)."""
     if not metrics:
         return 0.0
     from repro.telemetry import MetricsRegistry
@@ -154,6 +159,14 @@ def fold_coverage(metrics: Optional[dict]) -> float:
     execs = sum(b.executions for b in registry.branches.values())
     total = folds + execs
     return folds / total if total else 0.0
+
+
+def stats_fold_coverage(stats: PipelineStats) -> float:
+    """Dynamic-branch coverage from run stats: the in-order pipeline
+    counts ``branches`` where the traced twin emits ``BRANCH`` and
+    ``folds_committed`` where it commits a ``fold_pc``."""
+    total = stats.folds_committed + stats.branches
+    return stats.folds_committed / total if total else 0.0
 
 
 def point_energy(point: DesignPoint, stats: PipelineStats) -> float:
@@ -177,14 +190,19 @@ def point_energy(point: DesignPoint, stats: PipelineStats) -> float:
 def extract_objectives(point: DesignPoint, stats: PipelineStats,
                        metrics: Optional[dict],
                        baseline_stats: PipelineStats) -> ObjectiveVector:
-    """Reduce one evaluated run to its objective vector."""
+    """Reduce one evaluated run to its objective vector.
+
+    ``fold_coverage`` comes from the telemetry ``metrics`` when given,
+    else from ``stats`` (in-order runs only: see the module notes).
+    """
     speedup = baseline_stats.cycles / stats.cycles if stats.cycles \
         else 0.0
     return ObjectiveVector(
         cycles=stats.cycles,
         cpi=stats.cpi,
         speedup=speedup,
-        fold_coverage=fold_coverage(metrics),
+        fold_coverage=(fold_coverage(metrics) if metrics is not None
+                       else stats_fold_coverage(stats)),
         table_bits=table_cost_bits(point),
         energy=point_energy(point, stats),
     )

@@ -21,11 +21,14 @@ from repro.dse import (
     Journal,
     RandomSearch,
     SuccessiveHalving,
+    extract_objectives,
+    fold_coverage,
     frontier_of,
     make_search,
     paper_space,
 )
-from repro.runner import ResultCache
+from repro.dse.objectives import stats_fold_coverage
+from repro.runner import ResultCache, execute_spec_metrics, run_sweep
 
 BENCH, N, SEED = "adpcm_enc", 64, 11
 
@@ -306,3 +309,117 @@ class TestTolerantEvaluation:
         ev = make_evaluator(tmp_path)
         with pytest.raises(ValueError):
             ev.evaluate([BAD_POINT])
+
+
+# ----------------------------------------------------------------------
+# untraced evaluation: fold coverage from stats, telemetry as the oracle
+# ----------------------------------------------------------------------
+def traced_objectives(points, benchmark, n, seed):
+    """Objective vectors as the traced path computes them: the baseline
+    and every distinct point run through ``execute_spec_metrics``, and
+    fold coverage comes from the telemetry tables."""
+    runs = {p: execute_spec_metrics(p.to_spec(benchmark, n, seed))
+            for p in dict.fromkeys([BASELINE_POINT, *points])}
+    base = runs[BASELINE_POINT][0]
+    return [extract_objectives(p, *runs[p], base) for p in points]
+
+
+def in_order_spaces():
+    from repro.experiments.frontend_frontier import frontend_space
+    return {"paper": paper_space(), "frontend": frontend_space(quick=True)}
+
+
+#: an OoO point whose telemetry and stats disagree on fold coverage:
+#: the OoO tables also count 14 branches resolved on squashed paths
+OOO_POINT = DesignPoint(predictor_spec="bimodal-512-512", backend="ooo",
+                        issue_width=1)
+OOO_BENCH, OOO_N, OOO_SEED = "huffman_dec", 150, 7
+
+
+def _forbidden(*_args, **_kwargs):
+    raise AssertionError("a forbidden run was started")
+
+
+def forbid_tracing(monkeypatch):
+    """Fail any traced run from here on: the metrics executor, or a
+    Tracer built anywhere."""
+    import repro.runner.pool
+    from repro.telemetry import Tracer
+
+    monkeypatch.setattr(repro.runner.pool, "execute_spec_metrics",
+                        _forbidden)
+    monkeypatch.setattr(Tracer, "__init__", _forbidden)
+
+
+def forbid_simulation(monkeypatch):
+    """Fail any run at all: every result must come from the cache."""
+    import repro.runner.pool
+
+    forbid_tracing(monkeypatch)
+    monkeypatch.setattr(repro.runner.pool, "execute_spec", _forbidden)
+
+
+class TestUntracedObjectives:
+    """In-order points run untraced; the traced path is the oracle."""
+
+    N, SEED = 48, 5
+
+    @pytest.mark.parametrize("space", ["paper", "frontend"])
+    @pytest.mark.parametrize("bench", ["adpcm_enc", "huffman_dec"])
+    def test_equal_to_telemetry_oracle(self, bench, space):
+        space = in_order_spaces()[space]
+        ev = Evaluator(bench, self.N, self.SEED)
+        got = [r.objectives for r in GridSearch().run(ev, space)]
+        assert got == traced_objectives(space.points(), bench, self.N,
+                                        self.SEED)
+        assert any(o.fold_coverage > 0 for o in got)
+
+    @pytest.mark.parametrize("space", ["paper", "frontend"])
+    def test_in_order_grid_never_traces(self, space, tmp_path,
+                                        monkeypatch):
+        forbid_tracing(monkeypatch)
+        ev = make_evaluator(tmp_path)
+        space = in_order_spaces()[space]
+        assert len(GridSearch().run(ev, space)) == len(space.points())
+
+    def test_ooo_point_keeps_telemetry_value(self):
+        r, = Evaluator(OOO_BENCH, OOO_N, OOO_SEED).evaluate([OOO_POINT])
+        stats, metrics = execute_spec_metrics(
+            OOO_POINT.to_spec(OOO_BENCH, OOO_N, OOO_SEED))
+        assert r.objectives.fold_coverage == fold_coverage(metrics)
+        assert r.objectives.fold_coverage == pytest.approx(0.277184,
+                                                           abs=1e-6)
+        assert stats_fold_coverage(stats) == pytest.approx(0.280686,
+                                                           abs=1e-6)
+
+
+class TestCacheCompatibility:
+    N, SEED = 48, 5
+
+    def test_traced_entries_serve_untraced_evaluator(self, tmp_path,
+                                                     monkeypatch):
+        """Entries the traced path wrote (stats plus metrics) are hits."""
+        points = paper_space().points()
+        cache = ResultCache(str(tmp_path / "cache"))
+        run_sweep([p.to_spec(BENCH, self.N, self.SEED) for p in points],
+                  cache=cache, collect_metrics=True)
+        want = traced_objectives(points, BENCH, self.N, self.SEED)
+        forbid_simulation(monkeypatch)
+        cache = ResultCache(str(tmp_path / "cache"))
+        ev = Evaluator(BENCH, self.N, self.SEED, cache=cache)
+        got = [r.objectives for r in GridSearch().run(ev, paper_space())]
+        assert (cache.hits, cache.misses) == (len(points), 0)
+        assert got == want
+
+    def test_ooo_entry_without_metrics_resimulates(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        specs = [p.to_spec(OOO_BENCH, OOO_N, OOO_SEED)
+                 for p in (BASELINE_POINT, OOO_POINT)]
+        run_sweep(specs, cache=cache)           # stats only, untraced
+        cache = ResultCache(str(tmp_path / "cache"))
+        ev = Evaluator(OOO_BENCH, OOO_N, OOO_SEED, cache=cache)
+        r, = ev.evaluate([OOO_POINT])
+        # the baseline is a hit; the OoO entry lacks metrics: a miss
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert r.objectives.fold_coverage == pytest.approx(0.277184,
+                                                           abs=1e-6)
