@@ -1,19 +1,22 @@
 """Telemetry overhead benchmark.
 
-Measures the pipeline simulator on adpcm_enc in four configurations —
-telemetry disabled, metrics registry only, metrics + unbounded ring,
-and full JSONL streaming — and records the slowdown of each relative
-to the untraced run in ``benchmarks/results/trace_overhead.txt``.
-Every run uses the interpreted engine: a traced run always takes the
-``tick()`` loop, so that loop is the baseline tracing is measured
-against (the compiled default would add its own speedup to the ratio).
+Measures the pipeline simulator on adpcm_enc untraced, with telemetry
+disabled (``trace=None``), with a metrics registry only, with metrics
++ an unbounded ring, and with full JSONL streaming, and records the
+slowdown of each relative to the untraced run in
+``benchmarks/results/trace_overhead.txt``.  Every run uses the
+interpreted engine: a traced run always takes the ``tick()`` loop, so
+that loop is the baseline tracing is measured against (the compiled
+default would add its own speedup to the ratio).
 
-The number that matters is the first one: the *disabled* configuration
-must sit within 2% of the untraced simulator, because tracing is
-attached by rebinding methods on the traced instance only — the
-untraced tick path contains no hook checks at all (see
-``repro.telemetry.traced``).  The traced configurations are honest
-about their cost; they are diagnostic modes, not the default.
+Traced and untraced runs share one ``tick()``, whose emit sites are
+guarded by ``if emit is not None``.  Untraced, the guards cost the
+interpreted loop about 2% against a ``tick()`` without them; the
+default compiled loop has no emit sites and never enters ``tick()``.
+The "untraced" and "disabled (trace=None)" rows run the same code
+(``trace=None`` is the default), so the gap between them is timer
+noise.  The traced configurations are honest about their cost; they
+are diagnostic modes, not the default.
 """
 
 import time
@@ -60,9 +63,9 @@ def test_disabled_tracing_is_free(benchmark):
 def test_trace_overhead_summary(save_table, tmp_path):
     """Record the overhead ladder under results/.
 
-    Also asserts the zero-overhead contract: disabled telemetry within
-    2% of the untraced baseline (with slack for timer noise on shared
-    machines — the honest bound is the recorded table).
+    Also asserts that the disabled row stays within timer noise of the
+    untraced one, which runs the same code, and that the traced modes
+    stay usable.
     """
     from repro.experiments.common import render_table
 
@@ -94,8 +97,8 @@ def test_trace_overhead_summary(save_table, tmp_path):
         "Telemetry overhead (adpcm_enc, %d samples, best of %d)"
         % (len(_PCM), _REPEATS)))
 
-    # zero-overhead contract: the disabled path *is* the untraced path
-    # (same methods, no hook checks); allow generous timer noise.
+    # "disabled" and "untraced" run the same tick() with every emit
+    # guard off, so they differ only by timer noise on a shared host
     assert speeds["disabled (trace=None)"] > 0.90 * base
     # traced modes may be slower, but must stay usable
     assert speeds["metrics registry"] > 0.25 * base

@@ -26,6 +26,10 @@ must return the objective vectors of the traced path (the oracle of
 ``tests/test_dse_engine.py``) and run at least
 :data:`MIN_DSE_SPEEDUP` times faster than it, both inline on ADPCM.
 
+Every race alternates its two arms repetition by repetition and keeps
+each arm's best of :data:`REPS`, so a slow spell on a shared host
+slows both arms rather than one.
+
 Run as a plain script from the repository root::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py
@@ -132,6 +136,16 @@ def check_equivalence() -> None:
           "engines + 3 ooo configs)" % (WORKLOAD, EQUIV_SAMPLES))
 
 
+def alternate(*arms):
+    """Each arm's REPS results, the arms taking turns within every
+    repetition (A, B, A, B, ...)."""
+    results = [[] for _ in arms]
+    for _ in range(REPS):
+        for out, arm in zip(results, arms):
+            out.append(arm())
+    return results
+
+
 def race(with_asbr: bool) -> int:
     """Best-of-REPS cycles/s, compiled default vs interp, one config."""
     wl = get_workload(WORKLOAD)
@@ -143,26 +157,22 @@ def race(with_asbr: bool) -> int:
         infos = select_branches(profile, bit_capacity=16,
                                 bdt_update="execute").infos
 
-    def best_rate(engine):
-        best = 0.0
-        for _ in range(REPS):
-            predictor = asbr = None       # None: not-taken, no ASBR
-            if with_asbr:
-                predictor = make_predictor("bimodal-512-512")
-                asbr = ASBRUnit.from_branch_infos(infos, capacity=16,
-                                                  bdt_update="execute")
-            sim = PipelineSimulator(wl.program, wl.build_memory(stream),
-                                    predictor=predictor, asbr=asbr,
-                                    engine=engine)
-            t0 = time.perf_counter()
-            stats = sim.run()
-            dt = time.perf_counter() - t0
-            best = max(best, stats.cycles / dt)
-        return best
+    def rate(engine):
+        predictor = asbr = None           # None: not-taken, no ASBR
+        if with_asbr:
+            predictor = make_predictor("bimodal-512-512")
+            asbr = ASBRUnit.from_branch_infos(infos, capacity=16,
+                                              bdt_update="execute")
+        sim = PipelineSimulator(wl.program, wl.build_memory(stream),
+                                predictor=predictor, asbr=asbr,
+                                engine=engine)
+        t0 = time.perf_counter()
+        stats = sim.run()
+        return stats.cycles / (time.perf_counter() - t0)
 
     label = "asbr" if with_asbr else "plain"
-    interp = best_rate("interp")
-    compiled = best_rate(DEFAULT_ENGINE)
+    interp, compiled = map(max, alternate(lambda: rate("interp"),
+                                          lambda: rate(DEFAULT_ENGINE)))
     print("race (%s): interp %.0f cycles/s, %s %.0f cycles/s (%.2fx)"
           % (label, interp, DEFAULT_ENGINE, compiled, compiled / interp))
     if compiled < interp:
@@ -198,17 +208,14 @@ def race_profile() -> int:
         profile = BranchProfiler().profile(wl.program, memory)
         evaluate_on_trace(make_predictor("bimodal-2048"), profile.trace)
 
-    def best_time(front_half):
-        best = float("inf")
-        for _ in range(REPS):
-            memories = wl.build_memory(stream), wl.build_memory(stream)
-            t0 = time.perf_counter()
-            front_half(*memories)
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def seconds(front_half):
+        memories = wl.build_memory(stream), wl.build_memory(stream)
+        t0 = time.perf_counter()
+        front_half(*memories)
+        return time.perf_counter() - t0
 
-    ref = best_time(reference)
-    fast = best_time(compiled)
+    ref, fast = map(min, alternate(lambda: seconds(reference),
+                                   lambda: seconds(compiled)))
     print("race (profile): reference %.1f ms, compiled %.1f ms (%.1fx)"
           % (ref * 1e3, fast * 1e3, ref / fast))
     if ref / fast < MIN_PROFILE_SPEEDUP:

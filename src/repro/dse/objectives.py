@@ -163,8 +163,10 @@ def fold_coverage(metrics: Optional[dict]) -> float:
 
 def stats_fold_coverage(stats: PipelineStats) -> float:
     """Dynamic-branch coverage from run stats: the in-order pipeline
-    counts ``branches`` where the traced twin emits ``BRANCH`` and
-    ``folds_committed`` where it commits a ``fold_pc``."""
+    counts ``branches`` beside the EX handler's ``BRANCH`` emit and
+    ``folds_committed`` beside the ``COMMIT`` emit that carries a
+    ``fold_pc``, so on that machine this equals :func:`fold_coverage`
+    of the same run's telemetry by construction."""
     total = stats.folds_committed + stats.branches
     return stats.folds_committed / total if total else 0.0
 

@@ -8,9 +8,9 @@ tables themselves break.  It provides:
   BDT/BIT/predictor state as a :class:`FaultSite`, and deterministic
   seeded campaign plans (:func:`sample_campaign`);
 * :mod:`repro.faults.inject` — :class:`FaultInjector`, which arms one
-  flip on one simulator via the telemetry layer's construction-time
-  rebinding trick (the fault-free path stays zero-overhead) and models
-  none / parity-detect / ECC-correct protection;
+  flip on one simulator by wrapping that instance's ``tick`` (the
+  fault-free path stays zero-overhead) and models none /
+  parity-detect / ECC-correct protection;
 * :mod:`repro.faults.campaign` — campaign execution and differential
   classification (masked / detected-recovered / SDC) against the golden
   model and the fault-free reference, with per-structure AVF;

@@ -2,12 +2,12 @@
 
 Zero-overhead design
 --------------------
-Like the telemetry layer (:mod:`repro.telemetry.traced`), injection
-costs nothing unless it is armed: :meth:`FaultInjector.attach` wraps
-``sim.tick`` *on that one instance* before the run starts, so a
-fault-free simulator keeps the PR 1 fast path byte for byte.  The
-wrapper composes with tracing — it wraps whatever ``sim.tick``
-currently is, traced twin or base method.  ``PipelineSimulator.run``
+Injection costs nothing unless it is armed: :meth:`FaultInjector.attach`
+wraps ``sim.tick`` *on that one instance* before the run starts, so a
+fault-free simulator keeps its fast path byte for byte.  The wrapper
+composes with tracing: a traced simulator runs the same ``tick``, whose
+guarded emit sites are live, and the wrapper calls it first, then
+fires the fault.  ``PipelineSimulator.run``
 reads ``self.tick`` once before its loop, which is why the wrap must
 happen at construction time (the workload harness's ``on_sim`` hook)
 and why the fired injector keeps a one-flag check per cycle instead of

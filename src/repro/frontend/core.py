@@ -25,9 +25,9 @@ and the zero-cycle ASBR fold are preserved exactly.
 
 Telemetry: the component emits typed events (``btb_hit``/``btb_miss``,
 ``ftq_occupancy``, ``prefetch_issue``/``useful``/``useless``) through
-``self._emit``, which is None until :func:`repro.telemetry.traced.
-attach` wires a tracer — the untraced path pays one None check per
-site, only in frontend mode.
+``self._emit``, which is None until the simulator is built with a
+tracer and wires its ``emit`` in — the untraced path pays one None
+check per site, only in frontend mode.
 """
 
 from __future__ import annotations
@@ -377,8 +377,8 @@ class DecoupledFrontend:
         self.redirect(fold.next_pc)
 
     # ------------------------------------------------------------------
-    # fetch-event emission (mirrors _start_fetch_traced's event shapes;
-    # no-ops until a tracer attaches)
+    # fetch-event emission (the event shapes of the coupled
+    # PipelineSimulator._start_fetch; no-ops until a tracer attaches)
     # ------------------------------------------------------------------
     def note_fetch(self, pc: int, seq: int) -> None:
         if self._emit is not None:

@@ -23,10 +23,9 @@ independent* so the simulators share it instead of forking it:
   :class:`repro.frontend.DecoupledFrontend` expect, so the BPU+FTQ+FDIP
   front end attaches to either machine unchanged.
 
-The in-order simulator re-exports every moved name, so existing imports
-(``repro.telemetry.traced``, the test-suite) keep resolving;
-``tests/test_stats_golden.py`` locks that the extraction left the
-in-order cycle counts bit-identical.
+The two conditional-branch EX handlers also emit the in-order
+machine's ``BRANCH`` event when a tracer is attached (``sim._emit`` is
+not None), right where the stats count the branch and its mispredict.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from repro.isa.registers import RegisterFile
 from repro.memory.cache import Cache
 from repro.memory.main_memory import MainMemory
 from repro.predictors.simple import NotTakenPredictor
+from repro.telemetry.events import BRANCH, TraceEvent
 
 _LOAD_SIZE = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}
 _STORE_SIZE = {"sb": 1, "sh": 2, "sw": 4}
@@ -155,9 +155,15 @@ def _ex_branch_cmp(sim, slot, d):
     stats = sim.stats
     stats.branches += 1
     sim.predictor.update(slot.pc, taken, target)
-    if actual != slot.pred_next_pc:
+    misp = actual != slot.pred_next_pc
+    if misp:
         stats.branch_mispredicts += 1
         sim._redirect(actual)
+    if sim._emit is not None:     # after the redirect's squash events
+        sim._emit(TraceEvent(stats.cycles, BRANCH, slot.pc, slot.seq,
+                             {"taken": taken, "target": actual,
+                              "pred": slot.pred_next_pc, "misp": misp,
+                              "srcs": list(d.srcs)}))
 
 
 def _ex_branch_z(sim, slot, d):
@@ -167,9 +173,15 @@ def _ex_branch_z(sim, slot, d):
     stats = sim.stats
     stats.branches += 1
     sim.predictor.update(slot.pc, taken, target)
-    if actual != slot.pred_next_pc:
+    misp = actual != slot.pred_next_pc
+    if misp:
         stats.branch_mispredicts += 1
         sim._redirect(actual)
+    if sim._emit is not None:     # after the redirect's squash events
+        sim._emit(TraceEvent(stats.cycles, BRANCH, slot.pc, slot.seq,
+                             {"taken": taken, "target": actual,
+                              "pred": slot.pred_next_pc, "misp": misp,
+                              "srcs": list(d.srcs)}))
 
 
 def _ex_jal(sim, slot, d):

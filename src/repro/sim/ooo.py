@@ -260,9 +260,9 @@ class OoOSimulator:
         exact functional retirement stream to compare against.
 
         ``trace`` — a :class:`repro.telemetry.Tracer`; the machine uses
-        guarded emission (one None check per site) rather than the
-        in-order machine's method-twin rebinding, so traced and plain
-        runs are the same code path with bit-identical stats.
+        guarded emission (one None check per site), as the in-order
+        machine's ``tick()`` does, so traced and plain runs are the
+        same code path with bit-identical stats.
         """
         self.config = config if config is not None else OoOConfig()
         self.fold_unconditional = fold_unconditional

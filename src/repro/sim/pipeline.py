@@ -49,11 +49,15 @@ or replace per-cycle work (see :meth:`PipelineSimulator.run`).
 
 Telemetry
 ---------
-Passing ``trace=Tracer(...)`` binds the instrumented twins of the hot
-methods (``repro.telemetry.traced``) onto the instance at construction,
-emitting typed per-cycle events (fetch/issue/commit, branch resolution,
-fold attempts, BDT updates, squashes).  The hook check happens once,
-here — with no tracer attached the fast path above is unchanged.
+Passing ``trace=Tracer(...)`` sets ``self._emit`` to the tracer's
+``emit`` (it is None otherwise), and every emit site in ``tick()`` and
+its helpers is guarded by ``if emit is not None`` — the pattern the
+out-of-order backend and the decoupled front end share.  The events
+are typed and per-cycle: fetch/decode/issue/commit, branch resolution
+(emitted by the EX handlers in :mod:`repro.sim.core`), fold attempts,
+BDT updates, squashes and redirects.  The compiled loop has no emit
+sites; a traced run takes the ``tick()`` loop (see
+:meth:`PipelineSimulator.run`).
 
 Architectural behaviour is defined by
 :class:`~repro.sim.functional.FunctionalSimulator`; equality of final
@@ -73,21 +77,26 @@ from repro.isa.instruction import Instruction
 from repro.memory.cache import CacheConfig
 from repro.memory.main_memory import MainMemory
 from repro.predictors.base import BranchPredictor
+from repro.sim.core import (
+    PipelineStats,
+    _decode,
+    _Decoded,
+    _interned_dec_table,
+    init_core_state,
+)
 from repro.sim.functional import ENGINES, SimulationError
-
-# The decode machinery, stats record and shared constructor live in
-# repro.sim.core (shared with the out-of-order backend); every moved
-# name is re-exported here so existing imports keep resolving.
-from repro.sim.core import (  # noqa: F401  (re-exports)
-    _ALU_CODE, _COND_CODE, _DEC_MEMO, _DEC_MEMO_CAP, _LOAD_CODE,
-    _LOAD_SIZE, _STORE_SIZE, CoreStatsMixin, _Decoded, PipelineStats,
-    EXK_ALU_RRI, EXK_ALU_RRR, EXK_BRANCH_CMP, EXK_BRANCH_Z, EXK_CONST,
-    EXK_JAL, EXK_JALR, EXK_JR, EXK_LOAD, EXK_NONE, EXK_SHIFT_I,
-    EXK_STORE,
-    _decode, _interned_dec_table, init_core_state,
-    _ex_alu_rri, _ex_alu_rrr, _ex_branch_cmp, _ex_branch_z, _ex_const,
-    _ex_jal, _ex_jalr, _ex_jr, _ex_load, _ex_none, _ex_shift_i,
-    _ex_store,
+from repro.telemetry.events import (
+    BDT_UPDATE,
+    COMMIT,
+    DECODE,
+    FETCH,
+    FOLD_HIT,
+    FOLD_MISS,
+    ISSUE,
+    NO_DATA,
+    REDIRECT,
+    SQUASH,
+    TraceEvent,
 )
 
 
@@ -117,10 +126,10 @@ class _Slot:
                  "pred_next_pc", "result", "mem_addr", "store_val",
                  "mem_wait", "mem_done", "ex_done", "id_done",
                  "acquired_reg",
-                 # telemetry-only fields: written exclusively by the
-                 # traced fast path (repro.telemetry.traced), so they
-                 # are deliberately NOT initialised here — the untraced
-                 # hot path never pays for them
+                 # telemetry-only fields: the fetch paths write them
+                 # only where events read them (coupled fetch when a
+                 # tracer is attached, the decoupled front end always),
+                 # so they are deliberately NOT initialised here
                  "seq", "fold_pc", "fold_taken")
 
     def __init__(self, d: _Decoded, pc: int) -> None:
@@ -162,11 +171,12 @@ class PipelineSimulator:
         instruction whenever that instruction is itself foldable
         (non-control).
 
-        ``trace`` attaches a :class:`repro.telemetry.Tracer`: the
-        instrumented twins of the hot methods are bound onto this
-        instance (one check, here, at construction), so tracing has
-        strictly zero cost when disabled.  Traced runs produce
-        bit-identical statistics and architectural state.
+        ``trace`` attaches a :class:`repro.telemetry.Tracer`: its
+        ``emit`` becomes ``self._emit`` (and the front end's), which
+        the guarded emit sites of ``tick()`` and its helpers call.
+        Untraced, each site costs one None check, and the default
+        compiled loop has none.  Traced runs produce bit-identical
+        statistics and architectural state.
 
         ``engine`` selects the execution engine: ``"superblocks"`` (the
         default, :data:`DEFAULT_ENGINE`) runs the compiled loop of
@@ -176,7 +186,7 @@ class PipelineSimulator:
         alias for it, the way the functional simulator maps
         ``"superblocks"`` onto its blocks engine; ``"interp"`` is the
         decoded-dispatch ``tick()`` loop.  When telemetry is attached
-        or ``tick`` has been rebound on the instance (fault injection),
+        or ``tick`` has been wrapped on the instance (fault injection),
         ``run`` transparently falls back to the interpreted loop.
 
         ``frontend`` attaches the decoupled front end
@@ -229,11 +239,13 @@ class PipelineSimulator:
             from repro.frontend import attach_frontend
             attach_frontend(self, frontend)
 
-        # ---- telemetry (the one and only disabled-path hook check) ------
-        self.trace = None
+        # ---- telemetry: the emit sites check `emit is not None` ------
+        self.trace = trace
+        self._emit = None
         if trace is not None:
-            from repro.telemetry.traced import attach
-            attach(self, trace)
+            self._emit = trace.emit
+            if self.frontend is not None:
+                self.frontend._emit = trace.emit
 
     def _foreign_decode(self, instr: Instruction, pc: int) -> _Decoded:
         """Decoded record for an injected (non-program) instruction,
@@ -259,10 +271,9 @@ class PipelineSimulator:
     # ==================================================================
     def run(self) -> PipelineStats:
         """Simulate until the program's ``halt`` commits."""
-        # telemetry attach and fault injection both rebind methods on
-        # the instance (and tests may subclass); any of those falls
-        # back to the interpreted loop so the instrumented twins keep
-        # seeing every cycle
+        # the compiled loop has no emit sites and no per-cycle hook:
+        # a traced run, a front end, a subclass or a tick wrapped on
+        # the instance (fault injection) takes the tick() loop instead
         if (self.engine == "superblocks" and self.trace is None
                 and self.frontend is None
                 and type(self) is PipelineSimulator
@@ -292,6 +303,7 @@ class PipelineSimulator:
         self._suppress_fetch = False
         asbr = self.asbr
         pending = self._pending_releases   # list identity is stable
+        emit = self._emit
 
         # ---- WB: commit -------------------------------------------------
         wb = self.s_wb
@@ -308,6 +320,16 @@ class PipelineSimulator:
             if wb.uncond_folded:
                 stats.uncond_folds_committed += 1
             stats.committed += 1
+            if emit is not None:
+                if wb.folded:
+                    emit(TraceEvent(stats.cycles, COMMIT, wb.pc, wb.seq,
+                                    {"fold_pc": wb.fold_pc,
+                                     "fold_taken": wb.fold_taken}))
+                elif wb.uncond_folded:
+                    emit(TraceEvent(stats.cycles, COMMIT, wb.pc, wb.seq,
+                                    {"uncond_fold": True}))
+                else:
+                    emit(TraceEvent(stats.cycles, COMMIT, wb.pc, wb.seq))
             self.s_wb = None
             if d.is_halt:
                 # nothing younger may have architectural effect
@@ -326,7 +348,10 @@ class PipelineSimulator:
         if ex is not None and not ex.ex_done:
             ex.ex_done = True
             d = ex.d
-            d.ex(self, ex, d)
+            if emit is not None:
+                emit(TraceEvent(stats.cycles, ISSUE, ex.pc, ex.seq,
+                                {"dest": d.dest} if d.dest else NO_DATA))
+            d.ex(self, ex, d)     # a branch emits its own BRANCH event
 
         # ---- ID: first-cycle work (jump redirect, BDT acquire) ----------
         # re-read: an EX redirect squashes the slot that was in ID
@@ -334,6 +359,8 @@ class PipelineSimulator:
         if did is not None and not did.id_done:
             did.id_done = True
             d = did.d
+            if emit is not None:
+                emit(TraceEvent(stats.cycles, DECODE, did.pc, did.seq))
             if asbr is not None:
                 dest = d.dest
                 if dest is not None and dest != 0:
@@ -357,6 +384,9 @@ class PipelineSimulator:
                     stats.jump_bubbles += 1
                     if fe is not None:
                         fe.jump_resolved(did.pc, d.jump_target)
+                    if emit is not None:
+                        emit(TraceEvent(stats.cycles, REDIRECT,
+                                        d.jump_target, data={"why": "jump"}))
 
         # ---- IF: start a new fetch --------------------------------------
         fe = self.frontend
@@ -421,6 +451,9 @@ class PipelineSimulator:
         if pending:
             for reg, value in pending:
                 asbr.producer_value(reg, value)
+                if emit is not None:
+                    emit(TraceEvent(stats.cycles, BDT_UPDATE,
+                                    data={"reg": reg, "value": value}))
             pending.clear()
 
     # ==================================================================
@@ -468,11 +501,17 @@ class PipelineSimulator:
         self._fetch_halted = False   # any halt seen downstream was wrong-path
         if self.frontend is not None:
             self.frontend.redirect(new_pc)
+        if self._emit is not None:
+            self._emit(TraceEvent(self.stats.cycles, REDIRECT, new_pc,
+                                  data={"why": "ex"}))
 
     def _squash(self, slot: Optional[_Slot]) -> None:
         if slot is None:
             return
         self.stats.squashed += 1
+        if self._emit is not None:
+            self._emit(TraceEvent(self.stats.cycles, SQUASH, slot.pc,
+                                  slot.seq))
         if self.asbr is not None and slot.acquired_reg is not None:
             self.asbr.producer_squashed(slot.acquired_reg)
             slot.acquired_reg = None
@@ -480,16 +519,13 @@ class PipelineSimulator:
     # ==================================================================
     # fetch
     # ==================================================================
-    def _in_text(self, pc: int) -> bool:
-        return (self._text_base <= pc < self._text_end
-                and pc % 4 == 0)
-
     def _start_fetch(self) -> None:
         pc = self.fetch_pc
         if pc & 3 or not self._text_base <= pc < self._text_end:
             return  # ran off the text segment (wrong path) — fetch nothing
         d = self._dec[(pc - self._text_base) >> 2]
         stats = self.stats
+        emit = self._emit
         extra = self._icache_access(pc)
         self.if_wait = extra
         if extra:
@@ -502,6 +538,10 @@ class PipelineSimulator:
             slot.uncond_folded = True
             self.s_if = slot
             stats.fetched += 1
+            if emit is not None:
+                slot.seq = stats.fetched - 1
+                emit(TraceEvent(stats.cycles, FETCH, tpc, slot.seq,
+                                {"fold": "uncond", "branch_pc": pc}))
             self.fetch_pc = next_pc
             return
 
@@ -514,8 +554,23 @@ class PipelineSimulator:
                     slot.folded = True
                     self.s_if = slot
                     stats.fetched += 1
+                    if emit is not None:
+                        slot.fold_pc = pc
+                        slot.fold_taken = fold.taken
+                        slot.seq = stats.fetched - 1
+                        emit(TraceEvent(stats.cycles, FOLD_HIT, pc,
+                                        slot.seq,
+                                        {"taken": fold.taken,
+                                         "instr_pc": fold.instr_pc,
+                                         "next_pc": fold.next_pc}))
+                        emit(TraceEvent(stats.cycles, FETCH,
+                                        fold.instr_pc, slot.seq,
+                                        {"fold": "asbr", "branch_pc": pc}))
                     self.fetch_pc = fold.next_pc
                     return
+                if emit is not None:
+                    emit(TraceEvent(stats.cycles, FOLD_MISS, pc, data={
+                        "reason": self.asbr.miss_reason(pc)}))
             pred = self.predictor.predict(pc)
             stats.predictor_lookups += 1
             slot = _Slot(d, pc)
@@ -525,11 +580,18 @@ class PipelineSimulator:
                 slot.pred_next_pc = d.pc4
             self.s_if = slot
             stats.fetched += 1
+            if emit is not None:
+                slot.seq = stats.fetched - 1
+                emit(TraceEvent(stats.cycles, FETCH, pc, slot.seq))
             self.fetch_pc = slot.pred_next_pc
             return
 
-        self.s_if = _Slot(d, pc)
+        slot = _Slot(d, pc)
+        self.s_if = slot
         stats.fetched += 1
+        if emit is not None:
+            slot.seq = stats.fetched - 1
+            emit(TraceEvent(stats.cycles, FETCH, pc, slot.seq))
         self.fetch_pc = d.pc4
 
     def _frontend_fetch(self, fe) -> None:

@@ -53,7 +53,7 @@ when an access hits the line that is already most-recently-used (the
 overwhelmingly common case for sequential fetch).  Store hits still
 write the dirty bit; miss/eviction/writeback behavior is untouched.
 
-Fallback surface: telemetry attach, fault-injection ``tick``
+Fallback surface: an attached tracer, fault-injection ``tick``
 rebinding, a decoupled frontend or subclassing all make
 ``PipelineSimulator.run`` take the interpreted loop instead (observers
 need per-cycle visibility into the real object graph).  The

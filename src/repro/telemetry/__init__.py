@@ -1,4 +1,4 @@
-"""Zero-overhead tracing, metrics and pipeline-timeline observability.
+"""Tracing, metrics and pipeline-timeline observability.
 
 The paper's argument is *per-branch*: which branches fold, why a fold
 attempt misses, how far the condition-defining instruction sits from
@@ -7,8 +7,10 @@ its branch.  This package turns the simulators into analysis tools:
 * :mod:`~repro.telemetry.events` — typed per-cycle events (fetch /
   issue / commit, branch resolution, fold hit/miss with reason, BDT
   updates, squashes, redirects);
-* :mod:`~repro.telemetry.traced` — the instrumented pipeline fast
-  path, attached at construction so a disabled tracer costs nothing;
+* the emit sites live in the timing simulators: each stores
+  ``tracer.emit`` as ``_emit`` at construction and guards every site
+  with ``if emit is not None`` (the functional simulator takes
+  :func:`~repro.telemetry.tracer.retire_observer` instead);
 * :mod:`~repro.telemetry.sinks` — in-memory ring buffer and bounded
   JSONL trace files;
 * :mod:`~repro.telemetry.metrics` — counters and per-branch-PC tables

@@ -12,9 +12,10 @@ from repro.telemetry.sinks import JsonlTraceSink, RingBufferSink
 class Tracer:
     """Distributes every emitted event to each attached sink.
 
-    The simulators hold a tracer (or None); attaching one selects the
-    instrumented fast path at construction time, so a disabled tracer
-    costs the simulation nothing at all (see ``repro.telemetry.traced``).
+    A simulator built with ``trace=tracer`` stores ``tracer.emit`` as
+    its ``_emit`` and calls it from emit sites guarded by ``if emit is
+    not None``; built without one, each site costs a None check, and
+    the in-order machine's default compiled loop has no sites at all.
     """
 
     def __init__(self, *sinks) -> None:

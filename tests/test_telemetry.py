@@ -10,16 +10,25 @@ The load-bearing guarantees:
   ``PipelineStats``, fold hits with ``folds_committed``, BDT-busy
   misses with ``ASBRStats.invalid_fallbacks``);
 * traces survive a JSONL round trip bit-for-bit, and bounded sinks
-  truncate loudly, never silently.
+  truncate loudly, never silently;
+* the whole traced event stream (every event's kind, order and payload,
+  plus the final stats) is locked by digest on the codecs and on fault
+  injected runs, so a reordered or reshaped event fails even when every
+  count still reconciles.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from repro.asbr import ASBRUnit, extract_branch_info
 from repro.asm import assemble
+from repro.faults import BDT_DIR, FaultInjector, FaultSite, FaultSpec
+from repro.frontend import FrontendConfig
 from repro.predictors import BimodalPredictor, make_predictor
+from repro.profiling import profile_and_select
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.pipeline import PipelineSimulator
 from repro.telemetry import (
@@ -40,6 +49,7 @@ from repro.telemetry import (
     retire_observer,
 )
 from repro.telemetry import events as ev
+from repro.workloads import get_workload, speech_like
 
 from tests.conftest import COUNT_LOOP, FOLD_DEMO
 
@@ -298,3 +308,185 @@ class TestRenderers:
         _, _, reg, _ = _run_pair(COUNT_LOOP)
         text = render_counters(reg)
         assert "commit=" in text and "fetch=" in text
+
+
+# ----------------------------------------------------------------------
+# event-stream lock
+# ----------------------------------------------------------------------
+class _HashSink:
+    """Feeds each event's JSONL line into a running sha256."""
+
+    def __init__(self, sha) -> None:
+        self.sha = sha
+
+    def emit(self, event: TraceEvent) -> None:
+        self.sha.update(event.to_json().encode() + b"\n")
+
+
+def _hash_run(sha, build) -> None:
+    """Run ``build(tracer)`` traced; hash its events, then its stats.
+
+    ``to_json`` sorts keys and every payload is made of ints, bools,
+    strings and lists, so the digest depends on neither the hash seed
+    nor the Python version.
+    """
+    stats = build(Tracer(_HashSink(sha))).run()
+    sha.update(json.dumps(dataclasses.asdict(stats),
+                          sort_keys=True).encode() + b"\n")
+
+
+def _digest(*builds) -> str:
+    """First 16 hex digits of the sha256 over ``builds``' traced runs."""
+    sha = hashlib.sha256()
+    for build in builds:
+        _hash_run(sha, build)
+    return sha.hexdigest()[:16]
+
+
+STREAM_CODECS = ("adpcm_enc", "adpcm_dec", "g721_enc", "g721_dec",
+                 "huffman_dec")
+
+
+def _codec_builds(codec, predictor, configs):
+    """One simulator builder per ``(bdt_update, fdip, uncond)`` config:
+    a small input, a fresh memory image per run and, with ASBR, the BIT
+    selected by :func:`profile_and_select` on that input."""
+    wl = get_workload(codec)
+    pcm = speech_like(4 if codec.startswith("g721") else 24, seed=7)
+    stream = wl.input_stream(pcm)
+    count = wl.count_fn(pcm)
+    builds = []
+    for bdt_update, fdip, uncond in configs:
+        infos = None
+        if bdt_update is not None:
+            infos = profile_and_select(
+                wl.program, wl.build_memory(stream, count),
+                bdt_update=bdt_update).selection.infos
+
+        def build(trace, bdt_update=bdt_update, fdip=fdip, uncond=uncond,
+                  infos=infos):
+            asbr = None
+            if infos is not None:
+                asbr = ASBRUnit.from_branch_infos(infos,
+                                                  bdt_update=bdt_update)
+            return PipelineSimulator(
+                wl.program, wl.build_memory(stream, count),
+                predictor=make_predictor(predictor), asbr=asbr,
+                fold_unconditional=uncond, trace=trace,
+                frontend=FrontendConfig(fdip=True) if fdip else None)
+        builds.append(build)
+    return builds
+
+
+#: tier-1 grid: label -> (bdt_update, fdip, fold_unconditional)
+STREAM_CONFIGS = {
+    "plain": (None, False, False),
+    "execute": ("execute", False, False),
+    "mem-fdip": ("mem", True, False),
+    "commit-uncond": ("commit", False, True),
+}
+
+#: "<codec>-<config>" -> digest of one traced bimodal-512-512 run.  The
+#: digests of this section were recorded from the hand-kept traced copy
+#: of tick() that the guarded emit sites replaced: equal digests mean
+#: the same events, in the same order, with the same payloads
+STREAM_DIGESTS = {
+    "adpcm_enc-plain": "8343d94d1e901631",
+    "adpcm_enc-execute": "91d89882f2785743",
+    "adpcm_enc-mem-fdip": "e90c324b891e1631",
+    "adpcm_enc-commit-uncond": "57c5b2636ea41d31",
+    "adpcm_dec-plain": "6888c244df043b42",
+    "adpcm_dec-execute": "b020a16919160ab5",
+    "adpcm_dec-mem-fdip": "af2cb17e0134e798",
+    "adpcm_dec-commit-uncond": "9027b060d29c30ba",
+    "g721_enc-plain": "2863a280daccbac8",
+    "g721_enc-execute": "592402a35b8f800a",
+    "g721_enc-mem-fdip": "0d4c22e7c330c196",
+    "g721_enc-commit-uncond": "5908747cbc6b8c6b",
+    "g721_dec-plain": "850c4a7b2f087aca",
+    "g721_dec-execute": "e0b2253d8cee8315",
+    "g721_dec-mem-fdip": "b04598bd47855f13",
+    "g721_dec-commit-uncond": "23c25470db77fd37",
+    "huffman_dec-plain": "cade4c4c86b9f367",
+    "huffman_dec-execute": "93f97ccea33f5107",
+    "huffman_dec-mem-fdip": "80e56847ad70e318",
+    "huffman_dec-commit-uncond": "dfd8997b55c2bc0e",
+}
+
+#: the live BDT bit of tests/test_faults_inject.py: ``beqz r9`` reads
+#: (r9, EQZ); a flip at cycle 30 is an SDC unprotected, a detection
+#: under parity and a correction under ECC, and at cycle 46 likewise
+#: with different timing
+LIVE_DIR = FaultSite(BDT_DIR, "EQZ", 9, 0)
+
+#: "<protection>-<cycle>" -> digest of one traced fault-injected run
+FAULT_DIGESTS = {
+    "none-30": "70cad670eb0b8879",
+    "none-46": "757f82b2925f034b",
+    "parity-30": "77079e472d7e7d40",
+    "parity-46": "18591d2e76b11aa4",
+    "ecc-30": "479857b7c03e2999",
+    "ecc-46": "00a55b63a7a60fd7",
+}
+
+#: slow grid: "<codec>-<predictor>" -> one digest over 16 traced runs,
+#: {none, execute, mem, commit} x {coupled, FDIP} x fold_unconditional
+GRID_DIGESTS = {
+    "adpcm_enc-not-taken": "b4ecc154424c74c0",
+    "adpcm_enc-bimodal-512-512": "8c2ba560b596947c",
+    "adpcm_enc-gshare-512-8": "4fb41e5c49b83247",
+    "adpcm_dec-not-taken": "1c9f6f65a1e7c165",
+    "adpcm_dec-bimodal-512-512": "94c81a70208bcd2c",
+    "adpcm_dec-gshare-512-8": "95c46b02a0c140c7",
+    "g721_enc-not-taken": "4e0a7b2c909a7e94",
+    "g721_enc-bimodal-512-512": "a2b0949bc1e7554b",
+    "g721_enc-gshare-512-8": "34197e269df82299",
+    "g721_dec-not-taken": "261355be0a5d840a",
+    "g721_dec-bimodal-512-512": "587124462296cf86",
+    "g721_dec-gshare-512-8": "a6105837eaf693fc",
+    "huffman_dec-not-taken": "e3ca62924c41ec73",
+    "huffman_dec-bimodal-512-512": "9e48c2426161a079",
+    "huffman_dec-gshare-512-8": "6c78a059fa756a6d",
+}
+
+GRID_CONFIGS = [(u, f, c) for u in (None, "execute", "mem", "commit")
+                for f in (False, True) for c in (False, True)]
+
+
+class TestEventStreamLock:
+    """Every traced event, in order and in full, is locked by digest."""
+
+    @pytest.mark.parametrize("codec", STREAM_CODECS)
+    @pytest.mark.parametrize("config", list(STREAM_CONFIGS))
+    def test_codec_stream(self, codec, config):
+        build, = _codec_builds(codec, "bimodal-512-512",
+                               [STREAM_CONFIGS[config]])
+        key = "%s-%s" % (codec, config)
+        assert _digest(build) == STREAM_DIGESTS[key]
+
+    @pytest.mark.parametrize("cycle", [30, 46])
+    @pytest.mark.parametrize("protection", ["none", "parity", "ecc"])
+    def test_fault_stream(self, protection, cycle):
+        prog = assemble(FOLD_DEMO)
+
+        def build(trace):
+            info = extract_branch_info(prog, prog.labels["br1"])
+            sim = PipelineSimulator(
+                prog, predictor=make_predictor("bimodal-64"),
+                asbr=ASBRUnit.from_branch_infos([info], capacity=4,
+                                                bdt_update="execute"),
+                trace=trace)
+            return FaultInjector(FaultSpec(LIVE_DIR, cycle),
+                                 protection).attach(sim)
+
+        key = "%s-%d" % (protection, cycle)
+        assert _digest(build) == FAULT_DIGESTS[key]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("codec", STREAM_CODECS)
+    @pytest.mark.parametrize(
+        "predictor", ["not-taken", "bimodal-512-512", "gshare-512-8"])
+    def test_full_grid(self, codec, predictor):
+        builds = _codec_builds(codec, predictor, GRID_CONFIGS)
+        key = "%s-%s" % (codec, predictor)
+        assert _digest(*builds) == GRID_DIGESTS[key]
