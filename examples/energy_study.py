@@ -7,45 +7,36 @@ pipeline, and the displaced predictor tables are far smaller.  This
 example runs one benchmark under a range of front-end configurations
 and prints the energy breakdown for each.
 
+Each configuration is one ``RunSpec`` through the executor
+(``execute_spec``: profile, select, load the BIT, simulate, check the
+golden output), and its stats are priced by the one energy estimator.
+
 Run:  python examples/energy_study.py [benchmark] [n_samples]
 """
 
 import sys
 
-from repro.asbr import ASBRUnit
-from repro.power import estimate_energy
+from repro.asbr.bdt import BranchDirectionTable
+from repro.asbr.bit import BITS_PER_ENTRY
+from repro.power import estimate_energy_from_stats
 from repro.predictors import make_predictor
-from repro.profiling import BranchProfiler, select_branches
-from repro.sim.pipeline import PipelineSimulator
-from repro.workloads import get_workload, speech_like
+from repro.runner import RunSpec, execute_spec
+
+SEED = 1234          # speech_like's default input seed
+BIT_CAPACITY = 16
 
 
-def simulate(workload, pcm, predictor_spec, with_asbr):
-    stream = workload.input_stream(pcm)
-    count = workload.count_fn(pcm)
-    asbr = None
-    if with_asbr:
-        profile = BranchProfiler().profile(
-            workload.program, workload.build_memory(stream, count))
-        selection = select_branches(profile, bit_capacity=16,
-                                    bdt_update="execute")
-        asbr = ASBRUnit.from_branch_infos(selection.infos,
-                                          bdt_update="execute")
-    sim = PipelineSimulator(workload.program,
-                            workload.build_memory(stream, count),
-                            predictor=make_predictor(predictor_spec),
-                            asbr=asbr)
-    sim.run()
-    n = count if count is not None else len(stream)
-    assert workload.read_output(sim.memory, n) == \
-        workload.golden_output(pcm)
-    return sim
+def price(spec, stats):
+    """Energy report for one run, its structures sized from ``spec``."""
+    asbr_bits = {}
+    if spec.with_asbr:
+        asbr_bits = dict(bit_state_bits=spec.bit_capacity * BITS_PER_ENTRY,
+                         bdt_state_bits=BranchDirectionTable().state_bits)
+    return estimate_energy_from_stats(
+        stats, make_predictor(spec.predictor_spec).state_bits, **asbr_bits)
 
 
 def main(benchmark="adpcm_enc", n_samples=1200):
-    workload = get_workload(benchmark)
-    pcm = speech_like(n_samples)
-
     configs = [
         ("not-taken (no predictor)", "not-taken", False),
         ("bimodal-2048 (baseline)", "bimodal-2048", False),
@@ -53,13 +44,16 @@ def main(benchmark="adpcm_enc", n_samples=1200):
         ("ASBR + bimodal-512", "bimodal-512-512", True),
     ]
     reports = []
-    for title, spec, asbr_on in configs:
-        sim = simulate(workload, pcm, spec, asbr_on)
-        report = estimate_energy(sim)
-        reports.append((title, sim.stats, report))
+    for title, predictor_spec, asbr_on in configs:
+        spec = RunSpec(benchmark=benchmark, n_samples=n_samples, seed=SEED,
+                       predictor_spec=predictor_spec, with_asbr=asbr_on,
+                       bit_capacity=BIT_CAPACITY, bdt_update="execute")
+        stats = execute_spec(spec)
+        report = price(spec, stats)
+        reports.append((title, stats, report))
         print(report.render("--- %s ---" % title))
         print("    cycles=%d  fetched=%d  squashed=%d"
-              % (sim.stats.cycles, sim.stats.fetched, sim.stats.squashed))
+              % (stats.cycles, stats.fetched, stats.squashed))
         print()
 
     base = next(r for t, _s, r in reports if "baseline" in t)

@@ -55,8 +55,7 @@ from repro.asbr import ASBRUnit
 from repro.asm import assemble
 from repro.isa.registers import REG_NAMES
 from repro.predictors import make_predictor
-from repro.profiling import (BranchProfiler, profile_and_select,
-                             select_branches)
+from repro.profiling import profile_and_select
 from repro.sim.functional import ENGINES, FunctionalSimulator
 from repro.sim.pipeline import DEFAULT_ENGINE, PipelineSimulator
 
@@ -66,7 +65,7 @@ def _load_program(path: str):
         return assemble(f.read())
 
 
-def _print_stats(stats, asbr: Optional[ASBRUnit] = None) -> None:
+def _print_stats(stats, asbr_bits: Optional[int] = None) -> None:
     print("cycles              %12d" % stats.cycles)
     print("instructions        %12d   (CPI %.3f)"
           % (stats.committed, stats.cpi))
@@ -77,13 +76,12 @@ def _print_stats(stats, asbr: Optional[ASBRUnit] = None) -> None:
     print("load-use stalls     %12d" % stats.load_use_stalls)
     print("icache/dcache stall %12d / %d"
           % (stats.icache_miss_stalls, stats.dcache_miss_stalls))
-    if asbr is not None:
+    if asbr_bits is not None:
         print("branches folded     %12d   (%d taken / %d not-taken, "
               "%d invalid fallbacks)"
-              % (stats.folds_committed, asbr.stats.folded_taken,
-                 asbr.stats.folded_not_taken,
-                 asbr.stats.invalid_fallbacks))
-        print("ASBR state          %12d bits" % asbr.state_bits)
+              % (stats.folds_committed, stats.folded_taken,
+                 stats.folded_not_taken, stats.invalid_fallbacks))
+        print("ASBR state          %12d bits" % asbr_bits)
 
 
 def _make_cli_tracer(args):
@@ -98,38 +96,39 @@ def _make_cli_tracer(args):
     return make_tracer(jsonl_path=trace_out, with_metrics=want_metrics)
 
 
-def _stats_dict(stats, asbr: Optional[ASBRUnit] = None,
+def _stats_dict(stats, asbr_bits: Optional[int] = None,
                 tracer=None) -> dict:
     """JSON-ready view of a run: stats, derived rates, ASBR counters
     and (when traced) the telemetry tables."""
     out = dataclasses.asdict(stats)
     out["cpi"] = stats.cpi
     out["branch_accuracy"] = stats.branch_accuracy
-    if asbr is not None:
+    if asbr_bits is not None:
         out["asbr"] = {
-            "folded_taken": asbr.stats.folded_taken,
-            "folded_not_taken": asbr.stats.folded_not_taken,
-            "invalid_fallbacks": asbr.stats.invalid_fallbacks,
-            "state_bits": asbr.state_bits,
+            "folded_taken": stats.folded_taken,
+            "folded_not_taken": stats.folded_not_taken,
+            "invalid_fallbacks": stats.invalid_fallbacks,
+            "state_bits": asbr_bits,
         }
     if tracer is not None and tracer.metrics is not None:
         out["telemetry"] = tracer.metrics.to_dict()
     return out
 
 
-def _report_run(args, stats, asbr, tracer, prog=None,
+def _report_run(args, stats, asbr_bits, tracer, prog=None,
                 extra: Optional[dict] = None) -> None:
     """Shared tail of ``sim`` / ``workload``: close the tracer, then
-    print stats (text or ``--json``) and the per-branch report."""
+    print stats (text or ``--json``) and the per-branch report.
+    ``asbr_bits`` is the ASBR unit's state, None without one."""
     if tracer is not None:
         tracer.close()
     if getattr(args, "json", False):
-        out = _stats_dict(stats, asbr, tracer)
+        out = _stats_dict(stats, asbr_bits, tracer)
         if extra:
             out.update(extra)
         print(json.dumps(out, indent=1, sort_keys=True))
     else:
-        _print_stats(stats, asbr)
+        _print_stats(stats, asbr_bits)
     if getattr(args, "branch_report", False) and not getattr(
             args, "json", False):
         from repro.telemetry import render_branch_report
@@ -172,8 +171,7 @@ def cmd_run(args) -> int:
 def _build_asbr(prog, args) -> Optional[ASBRUnit]:
     if not args.asbr:
         return None
-    selection = profile_and_select(prog, baseline=args.predictor,
-                                   bit_capacity=args.bit_size,
+    selection = profile_and_select(prog, bit_capacity=args.bit_size,
                                    bdt_update=args.bdt_update).selection
     print(selection.describe(), file=sys.stderr)
     return ASBRUnit.from_branch_infos(selection.infos,
@@ -188,7 +186,8 @@ def cmd_sim(args) -> int:
     sim = PipelineSimulator(prog, predictor=make_predictor(args.predictor),
                             asbr=asbr, trace=tracer, engine=args.engine)
     stats = sim.run()
-    _report_run(args, stats, asbr, tracer, prog)
+    _report_run(args, stats, asbr.state_bits if asbr is not None else None,
+                tracer, prog)
     return 0
 
 
@@ -215,30 +214,41 @@ def cmd_profile(args) -> int:
 
 
 def cmd_workload(args) -> int:
+    """One built-in benchmark as a :class:`~repro.runner.RunSpec`
+    through the executor, traced when a telemetry flag asks for it."""
+    from repro.asbr.bdt import BranchDirectionTable
+    from repro.asbr.bit import BITS_PER_ENTRY
+    from repro.runner.pool import RunSpec, _execute, _selection
     from repro.workloads import get_workload, speech_like
+    spec = RunSpec(benchmark=args.name, n_samples=args.samples,
+                   seed=args.seed, predictor_spec=args.predictor,
+                   with_asbr=args.asbr, bit_capacity=args.bit_size,
+                   bdt_update=args.bdt_update, engine=args.engine)
     wl = get_workload(args.name)
-    pcm = speech_like(args.samples, seed=args.seed)
-    asbr = None
+    asbr_bits = None
     if args.asbr:
-        stream = wl.input_stream(pcm)
-        count = wl.count_fn(pcm)
-        profile = BranchProfiler().profile(
-            wl.program, wl.build_memory(stream, count))
-        selection = select_branches(profile, bit_capacity=args.bit_size,
-                                    bdt_update=args.bdt_update)
-        print(selection.describe(), file=sys.stderr)
-        asbr = ASBRUnit.from_branch_infos(selection.infos,
-                                          capacity=args.bit_size,
-                                          bdt_update=args.bdt_update)
+        pcm = speech_like(args.samples, seed=args.seed)
+        print(_selection(spec, wl, pcm).describe(), file=sys.stderr)
+        asbr_bits = (args.bit_size * BITS_PER_ENTRY
+                     + BranchDirectionTable().state_bits)
     tracer = _make_cli_tracer(args)
-    result = wl.run_pipeline(pcm, predictor=make_predictor(args.predictor),
-                             asbr=asbr, trace=tracer, engine=args.engine)
-    ok = result.outputs == wl.golden_output(pcm)
-    _report_run(args, result.stats, asbr, tracer, wl.program,
-                extra={"workload": wl.name, "outputs_match_golden": ok})
+    try:
+        stats = _execute(spec, trace=tracer)
+    except AssertionError as exc:         # outputs != golden model
+        if tracer is not None:
+            tracer.close()
+        print(exc, file=sys.stderr)
+        if args.json:
+            print(json.dumps({"outputs_match_golden": False,
+                              "workload": wl.name}, sort_keys=True))
+        else:
+            print("outputs match golden model: False")
+        return 1
+    _report_run(args, stats, asbr_bits, tracer, wl.program,
+                extra={"workload": wl.name, "outputs_match_golden": True})
     if not args.json:
-        print("outputs match golden model: %s" % ok)
-    return 0 if ok else 1
+        print("outputs match golden model: True")
+    return 0
 
 
 def cmd_trace(args) -> int:
@@ -463,11 +473,11 @@ def cmd_faults_campaign(args) -> int:
                          fault_seed=args.fault_seed,
                          live_only=not args.all_sites)
     if args.protection == "all":
-        reports = run_protection_matrix(cfg, batch=args.batch)
+        reports = run_protection_matrix(cfg)
         text = matrix_to_json(reports) if args.json \
             else render_matrix(reports)
     else:
-        report = run_campaign(cfg, batch=args.batch)
+        report = run_campaign(cfg)
         text = report_to_json(report) if args.json \
             else render_report(report)
     if args.out:
@@ -705,13 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--all-sites", action="store_true",
                     help="target every enumerable bit, not just BDT "
                          "state that live BIT entries read")
-    sp.add_argument("--batch", default="auto",
-                    choices=("auto", "on", "off"),
-                    help="collapse the campaign into one batched "
-                         "replay when the protection model permits "
-                         "(read-transparent ecc faults compose on a "
-                         "single run); per-site fallback otherwise. "
-                         "Classifications are identical either way")
     sp.add_argument("--json", action="store_true",
                     help="emit the canonical JSON report")
     sp.add_argument("--out", metavar="FILE",

@@ -30,7 +30,12 @@ from repro.dse.objectives import ObjectiveVector
 from repro.dse.space import DesignPoint
 from repro.wal import JsonlWal, load_jsonl
 
-JOURNAL_VERSION = 1
+#: Recorded in every journal's meta line and compared on reopen like
+#: any other meta key.  Bump it when the recorded objectives change
+#: meaning, so a resume or an experiment's re-render cannot replay
+#: values computed by an older model.  v2: energy read exactly off the
+#: stats record.
+JOURNAL_VERSION = 2
 
 
 class JournalMismatch(Exception):
@@ -89,12 +94,13 @@ class Journal:
 
         ``meta`` should carry the exploration identity (``space``
         digest, ``benchmark``, ``n_samples``, ``seed``); a mismatch on
-        any shared key raises :class:`JournalMismatch` rather than
-        silently mixing two explorations in one frontier.
+        any shared key, or on :data:`JOURNAL_VERSION`, raises
+        :class:`JournalMismatch` rather than silently mixing two
+        explorations (or two objective models) in one frontier.
         """
         self.load()
         if self.meta is not None:
-            for k, v in meta.items():
+            for k, v in dict(meta, version=JOURNAL_VERSION).items():
                 old = self.meta.get(k)
                 if old != v:
                     raise JournalMismatch(

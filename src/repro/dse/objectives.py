@@ -18,9 +18,13 @@ Every evaluated design point is reduced to an :class:`ObjectiveVector`:
 * ``table_bits`` — hardware cost of the prediction structures this
   point instantiates: predictor SRAM + BIT + BDT (paper Section 7's
   area argument);
-* ``energy`` — the activity-based model of :mod:`repro.power`,
-  reconstructed from stats (:func:`~repro.power.
-  estimate_energy_from_stats`) so cached results need no re-simulation.
+* ``energy`` — the activity-based model of :mod:`repro.power`
+  (:func:`~repro.power.estimate_energy_from_stats`, the one estimator
+  E1 uses too), read exactly off the stats: they carry the caches' and
+  the folding unit's own counters, so a cached result prices exactly
+  as its live run did.  :func:`point_energy` sizes the structures from
+  the point, with the front end's and the OoO machine's state priced
+  alongside the predictor's.
 
 ``SENSES`` declares which direction is better for each objective, so
 the Pareto code (:mod:`repro.dse.pareto`) never hard-codes it.
@@ -172,7 +176,7 @@ def stats_fold_coverage(stats: PipelineStats) -> float:
 
 
 def point_energy(point: DesignPoint, stats: PipelineStats) -> float:
-    """Activity-based relative energy of this run (stats-only model)."""
+    """Activity-based relative energy of this run, off its stats."""
     bit_bits = point.bit_capacity * BITS_PER_ENTRY if point.with_asbr \
         else 0
     bdt_bits = BranchDirectionTable().state_bits if point.with_asbr \

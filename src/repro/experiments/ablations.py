@@ -23,7 +23,7 @@ from repro.experiments.common import (
     render_table,
 )
 from repro.predictors import evaluate_on_trace, make_predictor
-from repro.sched import schedule_program, static_fold_distances
+from repro.sched import static_fold_distances
 from repro.workloads import get_workload
 
 
@@ -179,28 +179,25 @@ def scheduling_study(setup: Optional[ExperimentSetup] = None,
     """ASBR on naive code before/after the list scheduler, plus the
     hand-scheduled variant (the paper's "manual scheduling") as the
     upper reference point — manual/global code motion reaches branches
-    whose basic blocks are too small for a local scheduler."""
-    setup = setup if setup is not None else default_setup()
-    wl = get_workload(benchmark)
-    pcm = setup.pcm
-    sched_wl = wl.with_program(schedule_program(wl.program))
-    hand_wl = get_workload(hand_benchmark)
+    whose basic blocks are too small for a local scheduler.
 
+    The three variants are registry workloads (the list-scheduled one
+    is ``adpcm_enc_listsched``, the naive ``adpcm_enc_unsched`` after
+    :func:`repro.sched.schedule_program`), so each row is one spec
+    through :meth:`ExperimentSetup.run`; the folds column counts
+    fetch-time folds (``folded_taken + folded_not_taken``).
+    """
+    setup = setup if setup is not None else default_setup()
+    names = {"before": benchmark, "after": "adpcm_enc_listsched",
+             "hand": hand_benchmark}
+    setup.prefetch((name, "bimodal-512-512", True)
+                   for name in names.values())
     results = {}
-    for tag, w in (("before", wl), ("after", sched_wl),
-                   ("hand", hand_wl)):
-        from repro.profiling import BranchProfiler, select_branches
-        stream = w.input_stream(pcm)
-        profile = BranchProfiler().profile(w.program, w.build_memory(stream))
-        sel = select_branches(profile, bit_capacity=setup.bit_capacity,
-                              bdt_update=setup.bdt_update)
-        unit = ASBRUnit.from_branch_infos(sel.infos,
-                                          bdt_update=setup.bdt_update)
-        res = w.run_pipeline(pcm, predictor=make_predictor("bimodal-512-512"),
-                             asbr=unit)
-        if res.outputs != w.golden_output(pcm):
-            raise AssertionError("scheduling broke %s" % w.name)
-        results[tag] = (res.stats.cycles, unit.stats.folded, w.program)
+    for tag, name in names.items():
+        stats = setup.run(name, "bimodal-512-512", with_asbr=True)
+        results[tag] = (stats.cycles,
+                        stats.folded_taken + stats.folded_not_taken,
+                        get_workload(name).program)
 
     return SchedulingStudy(
         benchmark=benchmark,

@@ -6,7 +6,9 @@ figures need the same (workload, predictor, ASBR) runs.  An
 its benchmark wrapper never simulate the same configuration twice in a
 process.
 
-Two further layers ride on :mod:`repro.runner`:
+Every run is a :class:`~repro.runner.RunSpec` submitted through
+:func:`repro.runner.run_sweep`, so it comes from the one executor
+(:func:`repro.runner.pool._execute`) and rides on :mod:`repro.runner`:
 
 * ``workers > 1`` (or ``REPRO_WORKERS``) lets :meth:`ExperimentSetup.
   prefetch` compute a figure's whole configuration matrix on a process
@@ -14,21 +16,26 @@ Two further layers ride on :mod:`repro.runner`:
 * ``cache_dir`` (or ``REPRO_CACHE_DIR``) adds a content-addressed
   on-disk cache, so re-rendering a figure with unchanged programs and
   inputs costs one JSON read per configuration instead of a simulation.
+
+Drivers that read the profile, trace or selection themselves (the
+branch tables of Figures 7, 9 and 10, ablation A4) use
+:meth:`ExperimentSetup.profile` and :meth:`ExperimentSetup.selection`,
+which profile the same memory image the executor does.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from repro.asbr import ASBRUnit
 from repro.experiments import paper_data
 from repro.predictors import evaluate_on_trace, make_predictor
 from repro.predictors.evaluate import PredictorAccuracy
 from repro.profiling import BranchProfiler, SelectionResult, profile_and_select
 from repro.profiling.profiler import BranchProfile
-from repro.runner import ResultCache, RunSpec, key_for_spec, run_sweep
+from repro.runner import ResultCache, RunSpec, run_sweep
 from repro.sim.functional import BranchRecord
 from repro.sim.pipeline import PipelineStats
 from repro.workloads import get_workload, speech_like
@@ -64,7 +71,6 @@ class ExperimentSetup:
     bit_capacity: int = 16
     workers: int = field(default_factory=_default_workers)
     cache_dir: Optional[str] = field(default_factory=_default_cache_dir)
-    _pcm: Optional[list] = field(default=None, repr=False)
     _profiles: Dict[str, BranchProfile] = field(default_factory=dict,
                                                 repr=False)
     _runs: Dict[tuple, PipelineStats] = field(default_factory=dict,
@@ -74,11 +80,9 @@ class ExperimentSetup:
     _result_cache: Optional[ResultCache] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def pcm(self) -> list:
-        if self._pcm is None:
-            self._pcm = speech_like(self.n_samples, self.seed)
-        return self._pcm
+        return speech_like(self.n_samples, self.seed)
 
     def workload(self, name: str) -> Workload:
         return get_workload(name)
@@ -87,9 +91,8 @@ class ExperimentSetup:
         """Branch profile of one benchmark (cached)."""
         if name not in self._profiles:
             wl = self.workload(name)
-            stream = wl.input_stream(self.pcm)
             self._profiles[name] = BranchProfiler().profile(
-                wl.program, wl.build_memory(stream))
+                wl.program, wl.memory_image(self.pcm)[0])
         return self._profiles[name]
 
     def trace(self, name: str) -> List[BranchRecord]:
@@ -134,14 +137,6 @@ class ExperimentSetup:
         return (spec.benchmark, spec.predictor_spec, spec.with_asbr,
                 spec.bit_capacity, spec.bdt_update)
 
-    def _canonical_input(self) -> bool:
-        """True unless ``_pcm`` was hand-replaced with something other
-        than the canonical ``speech_like(n_samples, seed)`` signal —
-        RunSpecs identify the input by that pair, so the disk cache and
-        worker pool are bypassed for non-canonical inputs."""
-        return (self._pcm is None
-                or self._pcm == speech_like(self.n_samples, self.seed))
-
     def result_cache(self) -> Optional[ResultCache]:
         """The on-disk cache, if ``cache_dir`` is configured."""
         if self.cache_dir is None:
@@ -160,8 +155,6 @@ class ExperimentSetup:
         configurations are simulated through :func:`repro.runner.
         run_sweep`, on ``self.workers`` processes when configured.
         """
-        if not self._canonical_input():
-            return                       # .run() will compute inline
         specs = []
         for cfg in configs:
             name, predictor_spec, with_asbr = cfg[0], cfg[1], cfg[2]
@@ -181,43 +174,10 @@ class ExperimentSetup:
             with_asbr: bool = False,
             bit_capacity: Optional[int] = None,
             bdt_update: Optional[str] = None) -> PipelineStats:
-        """Cycle-accurate run of one configuration (cached)."""
-        spec = self._spec(name, predictor_spec, with_asbr,
-                          bit_capacity, bdt_update)
-        key = self._memo_key(spec)
-        if key in self._runs:
-            return self._runs[key]
-
-        cache = self.result_cache()
-        canonical = self._canonical_input()
-        disk_key = None
-        if cache is not None and canonical:
-            disk_key = key_for_spec(spec)
-            hit = cache.get(disk_key)
-            if hit is not None:
-                self._runs[key] = hit
-                return hit
-
-        # inline compute, sharing this setup's memoised selection
-        wl = self.workload(name)
-        asbr = None
-        if with_asbr:
-            sel = self.selection(name, spec.bit_capacity, spec.bdt_update)
-            asbr = ASBRUnit.from_branch_infos(
-                sel.infos, capacity=spec.bit_capacity,
-                bdt_update=spec.bdt_update)
-        result = wl.run_pipeline(self.pcm,
-                                 predictor=make_predictor(predictor_spec),
-                                 asbr=asbr)
-        expected = wl.golden_output(self.pcm)
-        if result.outputs != expected:
-            raise AssertionError(
-                "%s produced wrong output under %s (asbr=%s)"
-                % (name, predictor_spec, with_asbr))
-        self._runs[key] = result.stats
-        if disk_key is not None:
-            cache.put(disk_key, result.stats, describe=repr(spec))
-        return result.stats
+        """Cycle-accurate run of one configuration (memoised, cached)."""
+        cfg = (name, predictor_spec, with_asbr, bit_capacity, bdt_update)
+        self.prefetch([cfg])
+        return self._runs[self._memo_key(self._spec(*cfg))]
 
 
 _DEFAULT: Optional[ExperimentSetup] = None

@@ -5,7 +5,10 @@ folded branches and avoided wrong-path work mean fewer instructions
 pass through the pipeline, and (b) the displaced predictor tables are
 far smaller.  This driver quantifies both with the activity-based model
 in :mod:`repro.power`: baseline (bimodal-2048) vs customized core
-(ASBR + bi-512) on every benchmark.
+(ASBR + bi-512) on every benchmark.  The eight runs go through the
+shared setup (:meth:`ExperimentSetup.run`, so the pool, the result
+cache and the memo of the other figures), and each is priced off its
+stats alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.asbr import ASBRUnit
+from repro.asbr.bdt import BranchDirectionTable
+from repro.asbr.bit import BITS_PER_ENTRY
 from repro.experiments import paper_data
 from repro.experiments.common import (
     BENCHMARKS,
@@ -21,9 +25,14 @@ from repro.experiments.common import (
     default_setup,
     render_table,
 )
-from repro.power import EnergyReport, compare_energy, estimate_energy
+from repro.power import (EnergyReport, compare_energy,
+                          estimate_energy_from_stats)
 from repro.predictors import make_predictor
-from repro.sim.pipeline import PipelineSimulator
+from repro.sim.pipeline import PipelineStats
+
+#: the two cores compared: (predictor, with ASBR)
+_BASELINE = ("bimodal-2048", False)
+_CUSTOMIZED = ("bimodal-512-512", True)
 
 
 @dataclass
@@ -39,37 +48,31 @@ class EnergyRow:
         return compare_energy(self.baseline, self.customized)
 
 
-def _run_sim(setup: ExperimentSetup, bench: str, predictor_spec: str,
-             with_asbr: bool) -> PipelineSimulator:
-    wl = setup.workload(bench)
-    stream = wl.input_stream(setup.pcm)
-    asbr = None
+def _energy(setup: ExperimentSetup, stats: PipelineStats,
+            predictor_spec: str, with_asbr: bool) -> EnergyReport:
+    """Price one run's stats, its structures sized from its config."""
+    asbr_bits = {}
     if with_asbr:
-        sel = setup.selection(bench)
-        asbr = ASBRUnit.from_branch_infos(sel.infos,
-                                          bdt_update=setup.bdt_update)
-    sim = PipelineSimulator(wl.program, wl.build_memory(stream),
-                            predictor=make_predictor(predictor_spec),
-                            asbr=asbr)
-    sim.run()
-    outputs = wl.read_output(sim.memory, len(stream))
-    if outputs != wl.golden_output(setup.pcm):
-        raise AssertionError("wrong output in energy run for %s" % bench)
-    return sim
+        asbr_bits = dict(bit_state_bits=setup.bit_capacity * BITS_PER_ENTRY,
+                         bdt_state_bits=BranchDirectionTable().state_bits)
+    return estimate_energy_from_stats(
+        stats, make_predictor(predictor_spec).state_bits, **asbr_bits)
 
 
 def run(setup: Optional[ExperimentSetup] = None) -> List[EnergyRow]:
     setup = setup if setup is not None else default_setup()
+    setup.prefetch((bench,) + core for bench in BENCHMARKS
+                   for core in (_BASELINE, _CUSTOMIZED))
     rows = []
     for bench in BENCHMARKS:
-        base_sim = _run_sim(setup, bench, "bimodal-2048", with_asbr=False)
-        cust_sim = _run_sim(setup, bench, "bimodal-512-512", with_asbr=True)
+        base = setup.run(bench, *_BASELINE)
+        cust = setup.run(bench, *_CUSTOMIZED)
         rows.append(EnergyRow(
             benchmark=bench,
-            baseline=estimate_energy(base_sim),
-            customized=estimate_energy(cust_sim),
-            baseline_fetched=base_sim.stats.fetched,
-            customized_fetched=cust_sim.stats.fetched))
+            baseline=_energy(setup, base, *_BASELINE),
+            customized=_energy(setup, cust, *_CUSTOMIZED),
+            baseline_fetched=base.fetched,
+            customized_fetched=cust.fetched))
     return rows
 
 

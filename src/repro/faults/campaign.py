@@ -188,15 +188,18 @@ class CampaignReport:
 class _Context:
     """Shared per-benchmark state: program, input, selection, reference.
 
-    Built once per (benchmark, input, ASBR config); every injection then
+    Built once per (benchmark, input, ASBR config).  The reference run
+    is the campaign's configuration as a :class:`~repro.runner.RunSpec`
+    through :func:`~repro.runner.execute_spec`, and the BIT's branches
+    come from the same executor's front half.  Every injection then
     costs one pipeline run with a fresh predictor and a fresh ASBR unit
-    (tables are mutable state — a corrupted run must never leak into the
-    next one).
+    (tables are mutable state — a corrupted run must never leak into
+    the next one), the injector's hook and the watchdog budget.
     """
 
     def __init__(self, cfg: CampaignConfig) -> None:
         from repro.predictors import make_predictor
-        from repro.profiling import profile_and_select
+        from repro.runner.pool import RunSpec, _selection, execute_spec
         from repro.sim.pipeline import PipelineConfig
         from repro.workloads import get_workload, speech_like
 
@@ -206,22 +209,14 @@ class _Context:
         self.golden = self.wl.golden_output(self.pcm)
         self._make_predictor = make_predictor
 
-        # profile-driven selection, the front half of
-        # repro.runner.pool._execute
-        memory = self.wl.build_memory(self.wl.input_stream(self.pcm))
-        self.infos = profile_and_select(
-            self.wl.program, memory, bit_capacity=cfg.bit_capacity,
-            bdt_update=cfg.bdt_update).selection.infos
-
-        ref = self.wl.run_pipeline(self.pcm,
-                                   predictor=self.predictor(),
-                                   asbr=self.asbr())
-        if ref.outputs != self.golden:
-            raise AssertionError("fault-free reference run of %s is "
-                                 "already wrong" % cfg.benchmark)
-        self.ref_stats = ref.stats
+        spec = RunSpec(benchmark=cfg.benchmark, n_samples=cfg.n_samples,
+                       seed=cfg.seed, predictor_spec=cfg.predictor_spec,
+                       with_asbr=True, bit_capacity=cfg.bit_capacity,
+                       bdt_update=cfg.bdt_update)
+        self.infos = _selection(spec, self.wl, self.pcm).infos
+        self.ref_stats = execute_spec(spec)
         self.watchdog = PipelineConfig(
-            max_cycles=ref.stats.cycles * 4 + _WATCHDOG_SLACK)
+            max_cycles=self.ref_stats.cycles * 4 + _WATCHDOG_SLACK)
 
         self.sites = enumerate_sites(self.asbr(), self.predictor(),
                                      live_only=cfg.live_only)
@@ -272,10 +267,6 @@ def _classify(ctx: _Context, spec: FaultSpec,
     return result
 
 
-#: campaign batching modes (see :func:`run_campaign`)
-BATCH_MODES = ("auto", "on", "off")
-
-
 def _batchable(protection: str) -> bool:
     """Whether a whole campaign collapses into one batched replay.
 
@@ -299,7 +290,7 @@ def _classify_batched(ctx: _Context, plan,
     (N fault sites of one program = one batch), and each classifies
     from its own counters.  Per-injector wrappers chain and pass reads
     through unchanged, so each observes exactly the detections it would
-    have seen alone — the equivalence the ``--batch`` tests lock.  The
+    have seen alone — the equivalence the campaign tests lock.  The
     replay must come back bit-identical to the reference (outputs *and*
     stats); if it does not, the premise is violated and the caller
     falls back to per-site runs rather than guessing.
@@ -335,23 +326,19 @@ def _classify_batched(ctx: _Context, plan,
 
 
 def run_campaign(cfg: CampaignConfig,
-                 context: Optional[_Context] = None,
-                 batch: str = "auto") -> CampaignReport:
+                 context: Optional[_Context] = None) -> CampaignReport:
     """Execute a full campaign and return its report.
 
-    ``batch`` controls plan execution: ``"auto"`` (default) and
-    ``"on"`` collapse the campaign into one batched replay when the
-    protection model permits (:func:`_batchable`), running the whole
-    plan as a single pipeline pass; faults that need mid-run state
-    mutation the batched path cannot express (``none``/``parity``)
-    fall back to per-site runs, as does a replay that fails its
-    bit-identity check.  ``"off"`` forces per-site runs.  Both paths
-    produce identical classifications (asserted by
-    ``tests/test_faults.py``), so the report — and the byte-stable
-    JSON the CI smoke step diffs — does not depend on the mode.
+    When the protection model permits (:func:`_batchable`), the whole
+    plan runs as one batched replay; faults that need mid-run state
+    mutation the batched path cannot express (``none``/``parity``) run
+    one :func:`_classify` each, as does a plan whose replay fails its
+    bit-identity check.  Both paths produce identical classifications
+    (asserted by ``tests/test_faults_campaign.py`` against
+    :func:`_classify`, the per-site reference), so the report — and the
+    byte-stable JSON the CI smoke step diffs — does not depend on the
+    path.
     """
-    if batch not in BATCH_MODES:
-        raise ValueError("batch must be one of %s" % (BATCH_MODES,))
     ctx = context if context is not None else _Context(cfg)
     report = CampaignReport(config=dict(cfg.to_dict(),
                                         protection=cfg.protection),
@@ -360,7 +347,7 @@ def run_campaign(cfg: CampaignConfig,
                             ref_folds=ctx.ref_stats.folds_committed,
                             sites_enumerated=len(ctx.sites))
     rows = None
-    if batch != "off" and ctx.plan and _batchable(cfg.protection):
+    if ctx.plan and _batchable(cfg.protection):
         rows = _classify_batched(ctx, ctx.plan, cfg.protection)
     if rows is None:
         rows = [_classify(ctx, spec, cfg.protection)
@@ -369,8 +356,7 @@ def run_campaign(cfg: CampaignConfig,
     return report
 
 
-def run_protection_matrix(cfg: CampaignConfig,
-                          batch: str = "auto"
+def run_protection_matrix(cfg: CampaignConfig
                           ) -> Dict[str, CampaignReport]:
     """One campaign per protection model, over the *same* plan.
 
@@ -381,6 +367,5 @@ def run_protection_matrix(cfg: CampaignConfig,
     import dataclasses as _dc
 
     ctx = _Context(cfg)
-    return {p: run_campaign(_dc.replace(cfg, protection=p), context=ctx,
-                            batch=batch)
+    return {p: run_campaign(_dc.replace(cfg, protection=p), context=ctx)
             for p in PROTECTIONS}

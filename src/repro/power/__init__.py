@@ -15,12 +15,16 @@ proportional to total state.  Constants are relative units calibrated
 to the usual CACTI-style scaling (energy per access grows with the
 square root of capacity); absolute joules are out of scope — the claim
 under test is *relative* energy between configurations.
+
+One estimator, :func:`estimate_energy_from_stats`, prices every run
+from its stats record alone: the simulators copy their caches' and
+folding unit's counters into the stats when a run ends, so no caller
+needs a live simulator to report an energy.
 """
 
 from repro.power.model import (
     EnergyParams,
     EnergyReport,
-    estimate_energy,
     estimate_energy_from_stats,
     compare_energy,
 )
@@ -28,7 +32,6 @@ from repro.power.model import (
 __all__ = [
     "EnergyParams",
     "EnergyReport",
-    "estimate_energy",
     "estimate_energy_from_stats",
     "compare_energy",
 ]

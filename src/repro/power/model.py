@@ -5,6 +5,10 @@ scales with the square root of its state (small-SRAM CACTI-like
 scaling).  Static energy: leakage proportional to total state times
 cycles.  Units are arbitrary but consistent, so ratios between
 configurations are meaningful.
+
+:func:`estimate_energy_from_stats` is the one estimator: it reads
+every count off a run's stats record, so an experiment, a DSE point
+and a cached result are all priced the same way.
 """
 
 from __future__ import annotations
@@ -13,10 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.asbr.folding import ASBRUnit
-from repro.memory.cache import Cache
-from repro.predictors.base import BranchPredictor
-from repro.sim.pipeline import PipelineSimulator, PipelineStats
+from repro.sim.pipeline import PipelineStats
 
 
 @dataclass(frozen=True)
@@ -60,55 +61,6 @@ def _access_energy(state_bits: int, params: EnergyParams) -> float:
     return params.table_access_coeff * math.sqrt(max(state_bits, 1))
 
 
-def estimate_energy(sim: PipelineSimulator,
-                    params: Optional[EnergyParams] = None) -> EnergyReport:
-    """Energy report for a completed :class:`PipelineSimulator` run."""
-    params = params if params is not None else EnergyParams()
-    stats: PipelineStats = sim.stats
-    predictor: BranchPredictor = sim.predictor
-    icache: Cache = sim.icache
-    dcache: Cache = sim.dcache
-    asbr: Optional[ASBRUnit] = sim.asbr
-    report = EnergyReport()
-    comp = report.components
-
-    # pipeline activity: every fetched instruction occupies slots;
-    # committed ones walk all stages, squashed ones roughly half
-    comp["pipeline"] = params.pipeline_slot * (
-        stats.committed * params.stage_count
-        + stats.squashed * params.stage_count * 0.5)
-
-    # caches
-    e_ic = _access_energy(icache.state_bits, params)
-    e_dc = _access_energy(dcache.state_bits, params)
-    comp["icache"] = (icache.stats.accesses * e_ic
-                      + icache.stats.misses * params.cache_miss_energy)
-    comp["dcache"] = (dcache.stats.accesses * e_dc
-                      + (dcache.stats.misses + dcache.stats.writebacks)
-                      * params.cache_miss_energy)
-
-    # predictor: a lookup per fetched branch, an update per resolution
-    e_pred = _access_energy(predictor.state_bits, params)
-    comp["predictor"] = e_pred * (stats.predictor_lookups + stats.branches)
-
-    # ASBR structures
-    if asbr is not None:
-        e_bit = _access_energy(asbr.bit.state_bits, params)
-        e_bdt = _access_energy(asbr.bdt.state_bits, params)
-        bit_lookups = (stats.predictor_lookups
-                       + asbr.stats.folded + asbr.stats.invalid_fallbacks)
-        bdt_updates = stats.committed        # one per produced register, ~
-        comp["asbr"] = (e_bit * bit_lookups + e_bdt * bdt_updates
-                        + params.fold_energy * asbr.stats.folded)
-
-    # leakage over the whole run
-    state = (icache.state_bits + dcache.state_bits + predictor.state_bits
-             + (asbr.state_bits if asbr is not None else 0))
-    comp["leakage"] = params.leakage_coeff * state * stats.cycles
-
-    return report
-
-
 def estimate_energy_from_stats(stats: PipelineStats,
                                predictor_state_bits: int,
                                bit_state_bits: int = 0,
@@ -117,25 +69,20 @@ def estimate_energy_from_stats(stats: PipelineStats,
                                dcache_config=None,
                                params: Optional[EnergyParams] = None
                                ) -> EnergyReport:
-    """Energy report reconstructed from :class:`PipelineStats` alone.
+    """Energy report for one run, read exactly off its stats record.
 
-    :func:`estimate_energy` needs the live simulator objects; cached
-    sweep results (:mod:`repro.runner`) only keep the stats, so the
-    design-space explorer uses this estimator instead.  Same
-    coefficients, with the counts the stats do not carry approximated:
+    Every activity count comes straight off the stats: the pipeline's
+    committed and squashed instructions, predictor lookups and branch
+    resolutions, and the counters the simulators copy in from their
+    caches and folding unit when ``run()`` ends (I-cache and D-cache
+    accesses, misses and writebacks, fetch-time folds and BDT-busy
+    fallbacks).  A cached result therefore prices exactly as the live
+    run did, on either backend.
 
-    * cache *misses* are recovered from the recorded miss-stall cycles
-      divided by the configured miss penalty;
-    * I-cache accesses ≈ fetched instructions + committed folds (a fold
-      fetches its replacement instruction);
-    * D-cache accesses ≈ 0.3 × committed (the memory-reference fraction
-      typical of these kernels).  Program and input are fixed across a
-      design space, so this term is constant per benchmark and cannot
-      reorder configurations.
-
-    Structure sizes come in as bits because the structures themselves
-    are not rebuilt: the predictor's from its spec, the BIT's from its
-    capacity, the BDT's from the register count.
+    Structures are sized from the configuration, not from live
+    objects: the predictor's bits (plus whatever machine state the
+    caller prices with it), the BIT's and BDT's (both 0 without ASBR)
+    and the caches' from their configs (default: the paper's 8KB).
     """
     from repro.memory.cache import Cache, CacheConfig
 
@@ -147,30 +94,35 @@ def estimate_energy_from_stats(stats: PipelineStats,
     report = EnergyReport()
     comp = report.components
 
+    # pipeline activity: every fetched instruction occupies slots;
+    # committed ones walk all stages, squashed ones roughly half
     comp["pipeline"] = params.pipeline_slot * (
         stats.committed * params.stage_count
         + stats.squashed * params.stage_count * 0.5)
 
-    ic_misses = stats.icache_miss_stalls // max(icc.miss_penalty, 1)
-    dc_misses = stats.dcache_miss_stalls // max(dcc.miss_penalty, 1)
-    ic_accesses = stats.fetched + stats.folds_committed
-    dc_accesses = int(0.3 * stats.committed)
-    comp["icache"] = (ic_accesses * _access_energy(ic_bits, params)
-                      + ic_misses * params.cache_miss_energy)
-    comp["dcache"] = (dc_accesses * _access_energy(dc_bits, params)
-                      + dc_misses * params.cache_miss_energy)
+    comp["icache"] = (stats.icache_accesses * _access_energy(ic_bits, params)
+                      + stats.icache_misses * params.cache_miss_energy)
+    comp["dcache"] = (stats.dcache_accesses * _access_energy(dc_bits, params)
+                      + (stats.dcache_misses + stats.dcache_writebacks)
+                      * params.cache_miss_energy)
 
+    # predictor: a lookup per fetched branch, an update per resolution
     comp["predictor"] = _access_energy(predictor_state_bits, params) \
         * (stats.predictor_lookups + stats.branches)
 
+    # ASBR structures: a BIT lookup per fetched branch, a BDT update per
+    # committed instruction (one per produced register, ~)
     asbr_bits = bit_state_bits + bdt_state_bits
     if asbr_bits:
-        bit_lookups = stats.predictor_lookups + stats.folds_committed
+        folded = stats.folded_taken + stats.folded_not_taken
+        bit_lookups = (stats.predictor_lookups + folded
+                       + stats.invalid_fallbacks)
         comp["asbr"] = (
             _access_energy(bit_state_bits, params) * bit_lookups
             + _access_energy(bdt_state_bits, params) * stats.committed
-            + params.fold_energy * stats.folds_committed)
+            + params.fold_energy * folded)
 
+    # leakage over the whole run
     state = ic_bits + dc_bits + predictor_state_bits + asbr_bits
     comp["leakage"] = params.leakage_coeff * state * stats.cycles
     return report

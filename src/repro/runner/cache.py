@@ -63,8 +63,9 @@ from repro.sim.pipeline import PipelineStats
 #: added the decoupled-frontend knobs (frontend/BTB/FTQ/FDIP) to the
 #: config digest; v6 added the out-of-order backend knobs
 #: (backend/issue_width/rob_size/iq_size/phys_regs) and the per-entry
-#: stats kind (``"pipeline"`` | ``"ooo"``).
-CACHE_VERSION = 6
+#: stats kind (``"pipeline"`` | ``"ooo"``); v7 added the stats' cache
+#: and fold counters (the energy model's inputs).
+CACHE_VERSION = 7
 
 #: Entry ``kind`` → stats dataclass; entries written before v6 carry no
 #: kind and default to the in-order shape.

@@ -73,32 +73,48 @@ class RunSpec:
     phys_regs: int = 64
 
 
+def _selection(spec: RunSpec, wl, pcm):
+    """The executor's front half for an ASBR spec: the BIT's branches.
+
+    :func:`repro.profiling.profile_and_select` profiles the memory
+    image the run will simulate (:meth:`Workload.memory_image`, count
+    included), replays the ``SELECTION_BASELINE`` predictor over the
+    profile's trace and selects under the spec's policy knobs.  Callers
+    that report the selection (``repro workload``) or rebuild the unit
+    per run (the fault campaign) call this with the spec's workload and
+    input.
+    """
+    from repro.profiling import profile_and_select
+
+    return profile_and_select(wl.program, wl.memory_image(pcm)[0],
+                              bit_capacity=spec.bit_capacity,
+                              bdt_update=spec.bdt_update,
+                              min_fold_fraction=spec.min_fold_fraction,
+                              min_count=spec.min_count).selection
+
+
 def _execute(spec: RunSpec, trace=None) -> PipelineStats:
     """Shared body of :func:`execute_spec` / :func:`execute_spec_metrics`.
 
-    Mirrors ``ExperimentSetup.run``: for ASBR configurations the BIT
-    branch set is chosen by :func:`repro.profiling.profile_and_select`
-    (one profiling pass, a ``bimodal-2048`` replay of its trace as the
-    selection baseline, then selection).  The run's outputs are checked
-    against the workload's golden model; a mismatch raises
-    ``AssertionError`` (and is therefore never cached).
+    The one code path that turns a configuration into verified stats:
+    every experiment (through ``ExperimentSetup.run`` or
+    :func:`repro.runner.run_sweep`), the DSE, ``repro workload``, the
+    serve daemon and the fault campaign's reference run come here.
+    For ASBR configurations the BIT is loaded from :func:`_selection`.
+    The run's outputs are checked against the workload's golden model;
+    a mismatch raises ``AssertionError`` (and is therefore never
+    cached).  ``trace`` (a :class:`repro.telemetry.Tracer`) traces the
+    run.
     """
     from repro.asbr import ASBRUnit
     from repro.predictors import make_predictor
-    from repro.profiling import profile_and_select
     from repro.workloads import get_workload, speech_like
 
     wl = get_workload(spec.benchmark)
     pcm = speech_like(spec.n_samples, spec.seed)
     asbr = None
     if spec.with_asbr:
-        memory = wl.build_memory(wl.input_stream(pcm))
-        sel = profile_and_select(wl.program, memory,
-                                 bit_capacity=spec.bit_capacity,
-                                 bdt_update=spec.bdt_update,
-                                 min_fold_fraction=spec.min_fold_fraction,
-                                 min_count=spec.min_count).selection
-        asbr = ASBRUnit.from_branch_infos(sel.infos,
+        asbr = ASBRUnit.from_branch_infos(_selection(spec, wl, pcm).infos,
                                           capacity=spec.bit_capacity,
                                           bdt_update=spec.bdt_update)
     frontend = None

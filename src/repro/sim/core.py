@@ -13,8 +13,9 @@ independent* so the simulators share it instead of forking it:
   together with the EX dispatch handlers and the integer kind codes the
   compiled pipeline loop inlines on;
 * :class:`PipelineStats`, the statistics record every experiment,
-  cache entry and objective extractor consumes (the out-of-order
-  machine extends it via :class:`CoreStatsMixin`);
+  cache entry, objective extractor and the energy model consumes (the
+  out-of-order machine extends it via :class:`CoreStatsMixin`), and
+  :func:`record_counts`, which fills its cache and fold counters;
 * :func:`init_core_state`, the shared architectural-state constructor
   that establishes the *frontend attach surface*: after it runs, a
   simulator exposes ``fetch_pc`` / ``predictor`` / ``icache`` /
@@ -81,6 +82,39 @@ class PipelineStats(CoreStatsMixin):
     load_use_stalls: int = 0
     icache_miss_stalls: int = 0
     dcache_miss_stalls: int = 0
+    # the caches' and the folding unit's own counters, copied in by
+    # record_counts() when run() returns or raises
+    icache_accesses: int = 0
+    icache_misses: int = 0
+    dcache_accesses: int = 0
+    dcache_misses: int = 0
+    dcache_writebacks: int = 0
+    folded_taken: int = 0        # fetch-time folds, wrong-path ones too
+    folded_not_taken: int = 0
+    invalid_fallbacks: int = 0   # BIT hits the busy BDT could not fold
+
+
+def record_counts(sim) -> None:
+    """Copy ``sim``'s cache and folding-unit counters into its stats.
+
+    Every simulator's ``run()`` calls this when it returns or raises,
+    so a stats record alone carries every count the energy model
+    (:mod:`repro.power`) reads.  The counters are copied, not added:
+    a second ``run()`` of a halted simulator leaves them unchanged.
+    """
+    stats = sim.stats
+    ic = sim.icache.stats
+    dc = sim.dcache.stats
+    stats.icache_accesses = ic.accesses
+    stats.icache_misses = ic.misses
+    stats.dcache_accesses = dc.accesses
+    stats.dcache_misses = dc.misses
+    stats.dcache_writebacks = dc.writebacks
+    if sim.asbr is not None:
+        fs = sim.asbr.stats
+        stats.folded_taken = fs.folded_taken
+        stats.folded_not_taken = fs.folded_not_taken
+        stats.invalid_fallbacks = fs.invalid_fallbacks
 
 
 # ======================================================================

@@ -102,6 +102,7 @@ from repro.sim.core import (
     _Decoded,
     _interned_dec_table,
     init_core_state,
+    record_counts,
 )
 from repro.sim.functional import SimulationError
 from repro.telemetry.events import (
@@ -176,6 +177,14 @@ class OoOStats(CoreStatsMixin):
     load_use_stalls: int = 0
     icache_miss_stalls: int = 0
     dcache_miss_stalls: int = 0
+    icache_accesses: int = 0
+    icache_misses: int = 0
+    dcache_accesses: int = 0
+    dcache_misses: int = 0
+    dcache_writebacks: int = 0
+    folded_taken: int = 0
+    folded_not_taken: int = 0
+    invalid_fallbacks: int = 0
     # ---- out-of-order structures ------------------------------------
     renamed: int = 0                 # ops allocated a ROB entry
     rename_stalls: int = 0           # cycles rename blocked (ROB/IQ/free)
@@ -333,13 +342,16 @@ class OoOSimulator:
         max_cycles = self.config.max_cycles
         stats = self.stats
         tick = self.tick
-        while not self.halted:
-            if stats.cycles >= max_cycles:
-                raise SimulationError(
-                    "cycle budget (%d) exhausted; fetch_pc=0x%x"
-                    % (max_cycles, self.fetch_pc))
-            tick()
-        return stats
+        try:
+            while not self.halted:
+                if stats.cycles >= max_cycles:
+                    raise SimulationError(
+                        "cycle budget (%d) exhausted; fetch_pc=0x%x"
+                        % (max_cycles, self.fetch_pc))
+                tick()
+            return stats
+        finally:
+            record_counts(self)
 
     # ==================================================================
     # one clock cycle

@@ -83,6 +83,7 @@ from repro.sim.core import (
     _Decoded,
     _interned_dec_table,
     init_core_state,
+    record_counts,
 )
 from repro.sim.functional import ENGINES, SimulationError
 from repro.telemetry.events import (
@@ -271,25 +272,30 @@ class PipelineSimulator:
     # ==================================================================
     def run(self) -> PipelineStats:
         """Simulate until the program's ``halt`` commits."""
-        # the compiled loop has no emit sites and no per-cycle hook:
-        # a traced run, a front end, a subclass or a tick wrapped on
-        # the instance (fault injection) takes the tick() loop instead
-        if (self.engine == "superblocks" and self.trace is None
-                and self.frontend is None
-                and type(self) is PipelineSimulator
-                and "tick" not in self.__dict__):
-            from repro.sim.superblocks import run_pipeline_superblocks
-            return run_pipeline_superblocks(self)
-        max_cycles = self.config.max_cycles
-        stats = self.stats
-        tick = self.tick
-        while not self.halted:
-            if stats.cycles >= max_cycles:
-                raise SimulationError(
-                    "cycle budget (%d) exhausted; fetch_pc=0x%x"
-                    % (max_cycles, self.fetch_pc))
-            tick()
-        return stats
+        try:
+            # the compiled loop has no emit sites and no per-cycle hook:
+            # a traced run, a front end, a subclass or a tick wrapped on
+            # the instance (fault injection) takes the tick() loop
+            if (self.engine == "superblocks" and self.trace is None
+                    and self.frontend is None
+                    and type(self) is PipelineSimulator
+                    and "tick" not in self.__dict__):
+                from repro.sim.superblocks import run_pipeline_superblocks
+                return run_pipeline_superblocks(self)
+            max_cycles = self.config.max_cycles
+            stats = self.stats
+            tick = self.tick
+            while not self.halted:
+                if stats.cycles >= max_cycles:
+                    raise SimulationError(
+                        "cycle budget (%d) exhausted; fetch_pc=0x%x"
+                        % (max_cycles, self.fetch_pc))
+                tick()
+            return stats
+        finally:
+            # after the compiled loop's own finally has written its
+            # cache and fold counters back
+            record_counts(self)
 
     # ==================================================================
     # one clock cycle

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.asm.assembler import assemble
 from repro.asm.program import Program
@@ -106,10 +106,22 @@ class Workload:
             mem.write(base + i * width, v & ((1 << (8 * width)) - 1), width)
         return mem
 
-    def _count(self, pcm: Sequence[int], stream: Sequence[int]) -> int:
-        """Output-element count for this stimulus."""
-        n = self.count_fn(pcm)
-        return n if n is not None else len(stream)
+    def memory_image(self, pcm: Sequence[int]) -> Tuple[MainMemory, int]:
+        """Memory image for raw PCM stimulus ``pcm``, and the number of
+        output elements the program writes for it.
+
+        The one place a stimulus becomes a memory image: prepare the
+        input stream, take the workload's count (the Huffman decoder's
+        symbol count, not its bitstream length; the stream length for
+        the 1:1 codecs) and :meth:`build_memory` both.  Simulation and
+        profiling call it alike, so a profile sees the run it selects
+        branches for.
+        """
+        stream = self.prepare_input(pcm)
+        count = self.count_fn(pcm)
+        if count is None:
+            count = len(stream)
+        return self.build_memory(stream, count), count
 
     def read_output(self, memory: MainMemory, n: int) -> List[int]:
         """Output stream of ``n`` elements, sign-corrected."""
@@ -138,11 +150,8 @@ class Workload:
     def run_functional(self, pcm: Sequence[int],
                        max_instructions: int = 500_000_000,
                        engine: str = "interp") -> WorkloadResult:
-        stream = self.prepare_input(pcm)
-        count = self._count(pcm, stream)
-        sim = FunctionalSimulator(self.program,
-                                  self.build_memory(stream, count),
-                                  engine=engine)
+        memory, count = self.memory_image(pcm)
+        sim = FunctionalSimulator(self.program, memory, engine=engine)
         n = sim.run(max_instructions=max_instructions)
         return WorkloadResult(self.read_output(sim.memory, count),
                               instructions=n)
@@ -163,10 +172,8 @@ class Workload:
         instance methods (e.g. :class:`repro.faults.FaultInjector`),
         which must happen before ``run()`` captures ``tick``.
         """
-        stream = self.prepare_input(pcm)
-        count = self._count(pcm, stream)
-        sim = PipelineSimulator(self.program,
-                                self.build_memory(stream, count),
+        memory, count = self.memory_image(pcm)
+        sim = PipelineSimulator(self.program, memory,
                                 predictor=predictor, asbr=asbr,
                                 config=config, trace=trace, engine=engine,
                                 frontend=frontend)
@@ -187,10 +194,8 @@ class Workload:
         end attaches to the OoO machine through the same interface.
         """
         from repro.sim.ooo import OoOSimulator
-        stream = self.prepare_input(pcm)
-        count = self._count(pcm, stream)
-        sim = OoOSimulator(self.program,
-                           self.build_memory(stream, count),
+        memory, count = self.memory_image(pcm)
+        sim = OoOSimulator(self.program, memory,
                            predictor=predictor, asbr=asbr,
                            config=config, trace=trace,
                            frontend=frontend)
@@ -235,6 +240,17 @@ def _g721_codes(pcm: Sequence[int]) -> List[int]:
     return golden.g721_encode(pcm)[0]
 
 
+def _list_scheduled() -> Workload:
+    """``adpcm_enc_unsched`` after the local list scheduler
+    (:func:`repro.sched.schedule_program`): ablation A3's middle row,
+    registered so a :class:`~repro.runner.RunSpec` can name it."""
+    from repro.sched import schedule_program
+    naive = get_workload("adpcm_enc_unsched")
+    wl = naive.with_program(schedule_program(naive.program))
+    wl.name = "adpcm_enc_listsched"
+    return wl
+
+
 _REGISTRY = {
     "adpcm_enc": lambda: Workload(
         "adpcm_enc", "adpcm_enc.s",
@@ -248,6 +264,7 @@ _REGISTRY = {
         output_label="code_buf", output_width=1,
         golden_fn=lambda s: golden.adpcm_encode(s)[0],
         prepare_input=list),
+    "adpcm_enc_listsched": _list_scheduled,
     "adpcm_dec": lambda: Workload(
         "adpcm_dec", "adpcm_dec.s",
         input_label="code_buf", input_width=1,

@@ -106,6 +106,16 @@ class TestMismatch:
         with pytest.raises(JournalMismatch):
             Journal(path).open(bad)
 
+    def test_older_version_raises(self, tmp_path):
+        """A journal recorded under version 1 (energies from the old
+        approximate model) must not be replayed."""
+        path = str(tmp_path / "j.jsonl")
+        meta = dict(META, kind="meta", version=1)
+        with open(path, "w") as f:
+            f.write(json.dumps(meta, sort_keys=True) + "\n")
+        with pytest.raises(JournalMismatch, match="version=1"):
+            Journal(path).open(META)
+
     def test_matching_meta_reopens(self, tmp_path):
         path = record_two(str(tmp_path / "j.jsonl"))
         j = Journal(path).open(META)

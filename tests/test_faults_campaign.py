@@ -32,7 +32,7 @@ from repro.faults import (
     run_campaign,
     run_protection_matrix,
 )
-from repro.faults.campaign import _Context
+from repro.faults.campaign import _classify, _Context
 
 CFG = CampaignConfig(benchmark="adpcm_enc", n_samples=64, seed=11,
                      bit_capacity=8, n_faults=9, fault_seed=3)
@@ -153,38 +153,42 @@ def test_shared_context_matches_fresh_context(matrix):
 
 
 # ----------------------------------------------------------------------
-# batched execution (--batch): one replay, same classifications
+# batched execution: one replay, same classifications
 # ----------------------------------------------------------------------
+def _per_site(ctx, protection):
+    """The per-site reference: one :func:`_classify` run per fault."""
+    return [_classify(ctx, s, protection).to_dict() for s in ctx.plan]
+
+
 def test_batched_ecc_campaign_is_byte_identical(matrix):
     """The batch path arms the whole ecc plan on one reference replay;
-    the report it produces must serialise byte-for-byte like the
-    per-site path's (which the module fixture ran with batch='auto',
-    itself locked against fresh contexts above)."""
+    its classifications must equal the per-site reference's, and its
+    report the module fixture's (itself locked against fresh contexts
+    above)."""
     cfg = dataclasses.replace(CFG, protection="ecc")
     ctx = _Context(cfg)
-    on = run_campaign(cfg, context=ctx, batch="on")
-    off = run_campaign(cfg, context=ctx, batch="off")
-    assert report_to_json(on) == report_to_json(off)
-    assert report_to_json(on) == report_to_json(matrix["ecc"])
-
-
-def test_batched_mode_validates():
-    with pytest.raises(ValueError):
-        run_campaign(CFG, batch="maybe")
+    batched = run_campaign(cfg, context=ctx)
+    assert [r.to_dict() for r in batched.injections] \
+        == _per_site(ctx, "ecc")
+    assert report_to_json(batched) == report_to_json(matrix["ecc"])
 
 
 def test_non_batchable_protections_fall_back(matrix):
     """none/parity need mid-run state mutation the batched replay can't
-    express; batch='on' must still classify them per-site, identically."""
+    express; they must still classify per-site, identically."""
     for prot in ("none", "parity"):
         cfg = dataclasses.replace(CFG, protection=prot)
-        on = run_campaign(cfg, batch="on")
-        assert report_to_json(on) == report_to_json(matrix[prot])
+        again = run_campaign(cfg)
+        assert report_to_json(again) == report_to_json(matrix[prot])
 
 
 def test_matrix_batch_off_matches_default(matrix):
-    off = run_protection_matrix(CFG, batch="off")
-    assert matrix_to_json(off) == matrix_to_json(matrix)
+    """Every protection's classifications in the matrix equal the
+    per-site reference over the same plan."""
+    ctx = _Context(CFG)
+    for prot, report in matrix.items():
+        assert [r.to_dict() for r in report.injections] \
+            == _per_site(ctx, prot)
 
 
 # ----------------------------------------------------------------------

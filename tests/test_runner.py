@@ -255,16 +255,6 @@ def test_setup_prefetch_fills_memo(tmp_path):
         is setup._runs[("adpcm_enc", "not-taken", False, 16, "execute")]
 
 
-def test_setup_noncanonical_input_bypasses_cache(tmp_path):
-    setup = ExperimentSetup(n_samples=N, seed=SEED,
-                            cache_dir=str(tmp_path))
-    setup._pcm = [0] * N                 # not speech_like(N, SEED)
-    setup.prefetch([("adpcm_enc", "not-taken", False)])
-    assert setup._runs == {}             # prefetch refused
-    setup.run("adpcm_enc", "not-taken")  # inline compute still works
-    assert os.listdir(str(tmp_path)) == []   # and never touched disk
-
-
 def test_golden_mismatch_is_never_cached(tmp_path, monkeypatch):
     from repro.workloads.loader import Workload
     monkeypatch.setattr(Workload, "golden_output",
@@ -273,6 +263,46 @@ def test_golden_mismatch_is_never_cached(tmp_path, monkeypatch):
     with pytest.raises(AssertionError):
         run_sweep([spec_of()], cache=cache)
     assert os.listdir(str(tmp_path)) == []
+
+
+def test_front_halves_profile_the_run_they_select_for():
+    """huffman_dec's bitstream is shorter than the symbol count it
+    decodes, so a profile built without the count covers only part of
+    the run (at n=400, 107 of 400 symbols).  The executor's front half
+    and ``ExperimentSetup.profile`` both profile the whole run."""
+    from repro.profiling import BranchProfiler
+    from repro.runner.pool import _selection
+    from repro.workloads import get_workload, speech_like
+    wl = get_workload("huffman_dec")
+    pcm = speech_like(N, SEED)
+    full = BranchProfiler().profile(
+        wl.program, wl.build_memory(wl.input_stream(pcm), len(pcm)))
+    setup = ExperimentSetup(n_samples=N, seed=SEED)
+    assert setup.profile("huffman_dec").total_instructions \
+        == full.total_instructions
+    sel = _selection(spec_of("bimodal-512-512", "huffman_dec", asbr=True),
+                     wl, pcm)
+    assert sel.selected
+    assert all(s.stats.count == full.branches[s.pc].count
+               for s in sel.selected)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_cli_workload_reports_golden_mismatch(monkeypatch, capsys,
+                                              as_json):
+    """``repro workload`` runs through the executor, which raises on a
+    golden mismatch; the command still reports False and exits 1."""
+    from repro.cli import main
+    from repro.workloads.loader import Workload
+    monkeypatch.setattr(Workload, "golden_output",
+                        lambda self, pcm: ["wrong"])
+    argv = ["workload", "adpcm_enc", "--samples", "40"]
+    assert main(argv + (["--json"] if as_json else [])) == 1
+    out = capsys.readouterr().out
+    if as_json:
+        assert json.loads(out)["outputs_match_golden"] is False
+    else:
+        assert "outputs match golden model: False" in out
 
 
 # ----------------------------------------------------------------------

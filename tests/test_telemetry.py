@@ -389,28 +389,31 @@ STREAM_CONFIGS = {
 #: "<codec>-<config>" -> digest of one traced bimodal-512-512 run.  The
 #: digests of this section were recorded from the hand-kept traced copy
 #: of tick() that the guarded emit sites replaced: equal digests mean
-#: the same events, in the same order, with the same payloads
+#: the same events, in the same order, with the same payloads.  They
+#: were re-recorded once when the stats record gained its cache and
+#: fold counters, after hashing only the earlier 14 fields had
+#: reproduced every old digest
 STREAM_DIGESTS = {
-    "adpcm_enc-plain": "8343d94d1e901631",
-    "adpcm_enc-execute": "91d89882f2785743",
-    "adpcm_enc-mem-fdip": "e90c324b891e1631",
-    "adpcm_enc-commit-uncond": "57c5b2636ea41d31",
-    "adpcm_dec-plain": "6888c244df043b42",
-    "adpcm_dec-execute": "b020a16919160ab5",
-    "adpcm_dec-mem-fdip": "af2cb17e0134e798",
-    "adpcm_dec-commit-uncond": "9027b060d29c30ba",
-    "g721_enc-plain": "2863a280daccbac8",
-    "g721_enc-execute": "592402a35b8f800a",
-    "g721_enc-mem-fdip": "0d4c22e7c330c196",
-    "g721_enc-commit-uncond": "5908747cbc6b8c6b",
-    "g721_dec-plain": "850c4a7b2f087aca",
-    "g721_dec-execute": "e0b2253d8cee8315",
-    "g721_dec-mem-fdip": "b04598bd47855f13",
-    "g721_dec-commit-uncond": "23c25470db77fd37",
-    "huffman_dec-plain": "cade4c4c86b9f367",
-    "huffman_dec-execute": "93f97ccea33f5107",
-    "huffman_dec-mem-fdip": "80e56847ad70e318",
-    "huffman_dec-commit-uncond": "dfd8997b55c2bc0e",
+    "adpcm_enc-plain": "ad204ec1082e5410",
+    "adpcm_enc-execute": "f0a0c63a41b91c6c",
+    "adpcm_enc-mem-fdip": "ab99bd9d9b703d53",
+    "adpcm_enc-commit-uncond": "e5c6979f81f894ed",
+    "adpcm_dec-plain": "6fa7970fca9e4694",
+    "adpcm_dec-execute": "17fe8c6aaf446d80",
+    "adpcm_dec-mem-fdip": "bb0865051d696315",
+    "adpcm_dec-commit-uncond": "7bf93e5166219fba",
+    "g721_enc-plain": "758a34a863738477",
+    "g721_enc-execute": "c6e3dac4dff1e1fd",
+    "g721_enc-mem-fdip": "d2eef4763f389e35",
+    "g721_enc-commit-uncond": "ac3bdad568977f33",
+    "g721_dec-plain": "95494ac8c3e51dc1",
+    "g721_dec-execute": "fd61a8eec0b3b341",
+    "g721_dec-mem-fdip": "df72eb656d71dbce",
+    "g721_dec-commit-uncond": "d60dff89eef6dd16",
+    "huffman_dec-plain": "9385f4a966a19965",
+    "huffman_dec-execute": "7f86f53f4de6c481",
+    "huffman_dec-mem-fdip": "76a1391e4e4d0178",
+    "huffman_dec-commit-uncond": "97a2c354cd342622",
 }
 
 #: the live BDT bit of tests/test_faults_inject.py: ``beqz r9`` reads
@@ -421,32 +424,32 @@ LIVE_DIR = FaultSite(BDT_DIR, "EQZ", 9, 0)
 
 #: "<protection>-<cycle>" -> digest of one traced fault-injected run
 FAULT_DIGESTS = {
-    "none-30": "70cad670eb0b8879",
-    "none-46": "757f82b2925f034b",
-    "parity-30": "77079e472d7e7d40",
-    "parity-46": "18591d2e76b11aa4",
-    "ecc-30": "479857b7c03e2999",
-    "ecc-46": "00a55b63a7a60fd7",
+    "none-30": "0c1f626e70d25c67",
+    "none-46": "9258d54a4f1581d0",
+    "parity-30": "452114c2b8481736",
+    "parity-46": "c35c8665dc29926c",
+    "ecc-30": "697e4cce725da533",
+    "ecc-46": "c5eef7720100ea43",
 }
 
 #: slow grid: "<codec>-<predictor>" -> one digest over 16 traced runs,
 #: {none, execute, mem, commit} x {coupled, FDIP} x fold_unconditional
 GRID_DIGESTS = {
-    "adpcm_enc-not-taken": "b4ecc154424c74c0",
-    "adpcm_enc-bimodal-512-512": "8c2ba560b596947c",
-    "adpcm_enc-gshare-512-8": "4fb41e5c49b83247",
-    "adpcm_dec-not-taken": "1c9f6f65a1e7c165",
-    "adpcm_dec-bimodal-512-512": "94c81a70208bcd2c",
-    "adpcm_dec-gshare-512-8": "95c46b02a0c140c7",
-    "g721_enc-not-taken": "4e0a7b2c909a7e94",
-    "g721_enc-bimodal-512-512": "a2b0949bc1e7554b",
-    "g721_enc-gshare-512-8": "34197e269df82299",
-    "g721_dec-not-taken": "261355be0a5d840a",
-    "g721_dec-bimodal-512-512": "587124462296cf86",
-    "g721_dec-gshare-512-8": "a6105837eaf693fc",
-    "huffman_dec-not-taken": "e3ca62924c41ec73",
-    "huffman_dec-bimodal-512-512": "9e48c2426161a079",
-    "huffman_dec-gshare-512-8": "6c78a059fa756a6d",
+    "adpcm_enc-not-taken": "00f51f8c2b474d91",
+    "adpcm_enc-bimodal-512-512": "f0e9654230da42c9",
+    "adpcm_enc-gshare-512-8": "7c88631d0e845a0e",
+    "adpcm_dec-not-taken": "a1f8dd038b8cf2e6",
+    "adpcm_dec-bimodal-512-512": "30a38814110c5718",
+    "adpcm_dec-gshare-512-8": "bd4c072e352a446d",
+    "g721_enc-not-taken": "ca4187ad339330c5",
+    "g721_enc-bimodal-512-512": "b15a079126c6cfdb",
+    "g721_enc-gshare-512-8": "849252ed83d14f3c",
+    "g721_dec-not-taken": "f65975b48f95e275",
+    "g721_dec-bimodal-512-512": "1df42e6e9de09a74",
+    "g721_dec-gshare-512-8": "7390b6490b776c3b",
+    "huffman_dec-not-taken": "aa16d1f95dd9d574",
+    "huffman_dec-bimodal-512-512": "3625270f21f73889",
+    "huffman_dec-gshare-512-8": "12435ff8476e2c44",
 }
 
 GRID_CONFIGS = [(u, f, c) for u in (None, "execute", "mem", "commit")
