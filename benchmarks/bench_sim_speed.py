@@ -24,7 +24,7 @@ def test_functional_sim_speed(benchmark):
 
     def run():
         sim = FunctionalSimulator(wl.program, mem.copy())
-        return sim.run()
+        return sim.run_reference()
 
     retired = benchmark(run)
     assert retired > 5000
@@ -35,8 +35,8 @@ def test_pipeline_sim_speed(benchmark):
     mem = wl.build_memory(_PCM)
 
     def run():
-        sim = PipelineSimulator(wl.program, mem.copy(), engine="interp")
-        return sim.run().cycles
+        sim = PipelineSimulator(wl.program, mem.copy())
+        return sim.run_reference().cycles
 
     cycles = benchmark(run)
     assert cycles > 5000
@@ -53,8 +53,8 @@ def test_pipeline_with_asbr_speed(benchmark):
         unit = ASBRUnit.from_branch_infos(infos, bdt_update="execute")
         sim = PipelineSimulator(prog, mem.copy(),
                                 predictor=BimodalPredictor(512, 512),
-                                asbr=unit, engine="interp")
-        return sim.run().cycles
+                                asbr=unit)
+        return sim.run_reference().cycles
 
     benchmark(run)
 
@@ -87,7 +87,7 @@ def test_functional_blocks_speed(benchmark):
     mem = wl.build_memory(_PCM)
 
     def run():
-        sim = FunctionalSimulator(wl.program, mem.copy(), engine="blocks")
+        sim = FunctionalSimulator(wl.program, mem.copy())
         return sim.run()
 
     retired = benchmark(run)
@@ -117,7 +117,7 @@ def test_pipeline_superblocks_speed(benchmark):
         unit = ASBRUnit.from_branch_infos(infos, bdt_update="execute")
         sim = PipelineSimulator(prog, mem.copy(),
                                 predictor=BimodalPredictor(512, 512),
-                                asbr=unit, engine="superblocks")
+                                asbr=unit)
         return sim.run().cycles
 
     cycles = benchmark(run)
@@ -125,26 +125,30 @@ def test_pipeline_superblocks_speed(benchmark):
 
 
 def test_sim_speed_summary(save_table):
-    """Record simulator × engine throughput (ops/sec) under results/.
+    """Record simulator × loop throughput (ops/sec) under results/.
 
     Best-of-3 wall-clock on the adpcm_enc workload: a 7-way matrix —
-    the functional simulator's interpreted and block-compiled engines,
-    and the profiling pass (``collect_branch_trace``: the block-compiled
-    engine with the branch trace and fold distances recorded);
-    the pipeline's interpreted loop and its compiled superblocks loop
-    (the default; both with the ASBR unit and auxiliary predictor
-    attached, and their ``PipelineStats`` asserted bit-identical); and
-    the out-of-order backend at 1- and 2-wide.  Speedups are *per backend*, against the baseline named in
-    the ``baseline`` column — never across simulators, whose ops are
-    different quantities.  The 2-wide OoO row reports raw cycles/s with
-    no speedup: a wider machine retires the same program in *fewer*
-    cycles, so a cycles/s ratio against the 1-wide row reads as a
-    slowdown while wall-clock per run barely moves.  A machine-readable
-    ``BENCH_sim_speed.json`` perf-trajectory artifact (engine →
-    ops/s + work, stamped with git rev and date) is written at the
-    repository top level so cross-PR regressions diff directly.  A long
-    input (not the micro-benchmarks' ``_PCM``) keeps per-run setup out
-    of the measured ratio.
+    the functional simulator's reference plan loop (row ``interp``,
+    ``run_reference()``) and block translator (row ``blocks``,
+    ``run()``), and the profiling pass (``collect_branch_trace``: the
+    translator with the branch trace and fold distances recorded);
+    the pipeline's reference ``tick()`` loop (row ``interp``) and its
+    compiled superblocks loop (row ``superblocks``, what ``run()``
+    takes; both with the ASBR unit and auxiliary predictor attached,
+    and their ``PipelineStats`` asserted bit-identical); and the
+    out-of-order backend at 1- and 2-wide.  The row names are the
+    names the loops were once selected by, kept so the trajectory
+    stays comparable.  Speedups are *per backend*, against the
+    baseline named in the ``baseline`` column — never across
+    simulators, whose ops are different quantities.  The 2-wide OoO
+    row reports raw cycles/s with no speedup: a wider machine retires
+    the same program in *fewer* cycles, so a cycles/s ratio against
+    the 1-wide row reads as a slowdown while wall-clock per run barely
+    moves.  A machine-readable ``BENCH_sim_speed.json`` perf-trajectory
+    artifact (row → ops/s + work, stamped with git rev and date) is
+    written at the repository top level so cross-commit regressions
+    diff directly.  A long input (not the micro-benchmarks' ``_PCM``)
+    keeps per-run setup out of the measured ratio.
     """
     import dataclasses
     import json
@@ -173,10 +177,10 @@ def test_sim_speed_summary(save_table):
                 dt = time.perf_counter() - t0
                 ops, unit = trace.instructions, "instructions/s"
             elif simulator == "functional":
-                sim = FunctionalSimulator(prog, wl.build_memory(pcm),
-                                          engine=engine)
+                sim = FunctionalSimulator(prog, wl.build_memory(pcm))
+                run = sim.run_reference if engine == "interp" else sim.run
                 t0 = time.perf_counter()
-                sim.run()
+                run()
                 dt = time.perf_counter() - t0
                 ops, unit = sim.instructions_retired, "instructions/s"
             elif simulator == "ooo":
@@ -193,9 +197,10 @@ def test_sim_speed_summary(save_table):
                 sim = PipelineSimulator(prog, wl.build_memory(pcm),
                                         predictor=BimodalPredictor(512,
                                                                    512),
-                                        asbr=unit_, engine=engine)
+                                        asbr=unit_)
+                run = sim.run_reference if engine == "interp" else sim.run
                 t0 = time.perf_counter()
-                stats = sim.run()
+                stats = run()
                 dt = time.perf_counter() - t0
                 ops, unit = stats.cycles, "cycles/s"
                 pipeline_stats[engine] = dataclasses.asdict(stats)
@@ -234,7 +239,7 @@ def test_sim_speed_summary(save_table):
                     round(speedup, 3) if speedup is not None else None,
             }
 
-    # both pipeline engines must be measuring the same machine
+    # both pipeline loops must be measuring the same machine
     assert pipeline_stats["superblocks"] == pipeline_stats["interp"]
 
     save_table("sim_speed", render_table(

@@ -5,14 +5,15 @@ disabled (``trace=None``), with a metrics registry only, with metrics
 + an unbounded ring, and with full JSONL streaming, and records the
 slowdown of each relative to the untraced run in
 ``benchmarks/results/trace_overhead.txt``.  Every run uses the
-interpreted engine: a traced run always takes the ``tick()`` loop, so
-that loop is the baseline tracing is measured against (the compiled
-default would add its own speedup to the ratio).
+reference ``tick()`` loop (``run_reference()``): a traced run always
+takes it, so that loop is the baseline tracing is measured against
+(the compiled loop an untraced ``run()`` takes would add its own
+speedup to the ratio).
 
 Traced and untraced runs share one ``tick()``, whose emit sites are
 guarded by ``if emit is not None``.  Untraced, the guards cost the
-interpreted loop about 2% against a ``tick()`` without them; the
-default compiled loop has no emit sites and never enters ``tick()``.
+reference loop about 2% against a ``tick()`` without them; the
+compiled loop has no emit sites and never enters ``tick()``.
 The "untraced" and "disabled (trace=None)" rows run the same code
 (``trace=None`` is the default), so the gap between them is timer
 noise.  The traced configurations are honest about their cost; they
@@ -37,9 +38,9 @@ def _best_cycles_per_sec(make_tracer):
     for _ in range(_REPEATS):
         tracer = make_tracer()
         sim = PipelineSimulator(wl.program, wl.build_memory(_PCM),
-                                trace=tracer, engine="interp")
+                                trace=tracer)
         t0 = time.perf_counter()
-        stats = sim.run()
+        stats = sim.run_reference()
         dt = time.perf_counter() - t0
         if tracer is not None:
             tracer.close()
@@ -54,8 +55,8 @@ def test_disabled_tracing_is_free(benchmark):
     mem = wl.build_memory(_PCM)
 
     def run():
-        return PipelineSimulator(wl.program, mem.copy(), trace=None,
-                                 engine="interp").run().cycles
+        return PipelineSimulator(wl.program, mem.copy(),
+                                 trace=None).run_reference().cycles
 
     assert benchmark(run) > 5000
 

@@ -1,12 +1,12 @@
-"""CI perf-smoke gate: the compiled engines must earn their keep.
+"""CI perf-smoke gate: the compiled loops must earn their keep.
 
 A coarse anti-regression check, not a tight threshold: it first proves
-compiled-vs-interpreted equivalence on a quick sweep (both simulators,
+compiled-vs-reference equivalence on a quick sweep (both simulators,
 with and without ASBR/bimodal, plus the out-of-order backend against
-the functional model), then races the pipeline's default compiled loop
-against the interpreted ``tick()`` loop on the ADPCM workload and fails
-if the compiled loop is *slower* in either configuration the default
-serves:
+the functional model), then races the pipeline's compiled loop (what
+an unobserved ``run()`` takes) against the reference ``tick()`` loop
+(``run_reference()``) on the ADPCM workload and fails if the compiled
+loop is *slower* in either configuration it serves:
 
 * plain — the default not-taken predictor, no ASBR;
 * ASBR — threshold-2 folding with the ``bimodal-512-512`` auxiliary
@@ -49,7 +49,7 @@ from repro.predictors import evaluate_on_trace, make_predictor
 from repro.profiling import BranchProfiler, select_branches
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import OoOConfig, OoOSimulator
-from repro.sim.pipeline import DEFAULT_ENGINE, PipelineSimulator
+from repro.sim.pipeline import PipelineSimulator
 from repro.workloads import get_workload
 from repro.workloads.inputs import speech_like
 
@@ -85,9 +85,8 @@ def check_equivalence() -> None:
 
     # functional: architectural state must match exactly
     ref = FunctionalSimulator(wl.program, wl.build_memory(stream))
-    retired = ref.run()
-    sim = FunctionalSimulator(wl.program, wl.build_memory(stream),
-                              engine="blocks")
+    retired = ref.run_reference()
+    sim = FunctionalSimulator(wl.program, wl.build_memory(stream))
     assert sim.run() == retired, "retired count diverged"
     assert sim.regs.snapshot() == ref.regs.snapshot(), "registers diverged"
     assert sim.memory.snapshot() == ref.memory.snapshot(), "memory diverged"
@@ -97,20 +96,21 @@ def check_equivalence() -> None:
     profile = BranchProfiler().profile(wl.program, wl.build_memory(stream))
     sel = select_branches(profile, bit_capacity=16, bdt_update="execute")
 
-    def one(pred_spec, with_asbr, engine):
+    def one(pred_spec, with_asbr, reference):
         asbr = (ASBRUnit.from_branch_infos(sel.infos, capacity=16,
                                            bdt_update="execute")
                 if with_asbr else None)
         sim = PipelineSimulator(wl.program, wl.build_memory(stream),
                                 predictor=make_predictor(pred_spec),
-                                asbr=asbr, engine=engine)
-        return dataclasses.asdict(sim.run())
+                                asbr=asbr)
+        run = sim.run_reference if reference else sim.run
+        return dataclasses.asdict(run())
 
     for pred_spec, with_asbr in (("not-taken", False),
                                  ("bimodal-512-512", False),
                                  ("bimodal-512-512", True)):
-        a = one(pred_spec, with_asbr, "interp")
-        b = one(pred_spec, with_asbr, DEFAULT_ENGINE)
+        a = one(pred_spec, with_asbr, True)
+        b = one(pred_spec, with_asbr, False)
         assert a == b, ("pipeline stats diverged under %s asbr=%s:"
                         "\n%r\n%r" % (pred_spec, with_asbr, a, b))
 
@@ -133,7 +133,7 @@ def check_equivalence() -> None:
             + stats.uncond_folds_committed == retired, \
             "ooo retirement ledger diverged (w%d)" % width
     print("equivalence: OK (%s, %d samples, 3 pipeline configs x 2 "
-          "engines + 3 ooo configs)" % (WORKLOAD, EQUIV_SAMPLES))
+          "loops + 3 ooo configs)" % (WORKLOAD, EQUIV_SAMPLES))
 
 
 def alternate(*arms):
@@ -147,7 +147,7 @@ def alternate(*arms):
 
 
 def race(with_asbr: bool) -> int:
-    """Best-of-REPS cycles/s, compiled default vs interp, one config."""
+    """Best-of-REPS cycles/s, compiled vs reference loop, one config."""
     wl = get_workload(WORKLOAD)
     stream = wl.input_stream(speech_like(RACE_SAMPLES, seed=42))
     infos = None
@@ -157,27 +157,27 @@ def race(with_asbr: bool) -> int:
         infos = select_branches(profile, bit_capacity=16,
                                 bdt_update="execute").infos
 
-    def rate(engine):
+    def rate(reference):
         predictor = asbr = None           # None: not-taken, no ASBR
         if with_asbr:
             predictor = make_predictor("bimodal-512-512")
             asbr = ASBRUnit.from_branch_infos(infos, capacity=16,
                                               bdt_update="execute")
         sim = PipelineSimulator(wl.program, wl.build_memory(stream),
-                                predictor=predictor, asbr=asbr,
-                                engine=engine)
+                                predictor=predictor, asbr=asbr)
+        run = sim.run_reference if reference else sim.run
         t0 = time.perf_counter()
-        stats = sim.run()
+        stats = run()
         return stats.cycles / (time.perf_counter() - t0)
 
     label = "asbr" if with_asbr else "plain"
-    interp, compiled = map(max, alternate(lambda: rate("interp"),
-                                          lambda: rate(DEFAULT_ENGINE)))
-    print("race (%s): interp %.0f cycles/s, %s %.0f cycles/s (%.2fx)"
-          % (label, interp, DEFAULT_ENGINE, compiled, compiled / interp))
-    if compiled < interp:
-        print("FAIL: the compiled loop is slower than interp on %s (%s)"
-              % (WORKLOAD, label), file=sys.stderr)
+    ref, compiled = map(max, alternate(lambda: rate(True),
+                                       lambda: rate(False)))
+    print("race (%s): reference %.0f cycles/s, compiled %.0f cycles/s "
+          "(%.2fx)" % (label, ref, compiled, compiled / ref))
+    if compiled < ref:
+        print("FAIL: the compiled loop is slower than the reference on "
+              "%s (%s)" % (WORKLOAD, label), file=sys.stderr)
         return 1
     return 0
 

@@ -56,8 +56,8 @@ from repro.asm import assemble
 from repro.isa.registers import REG_NAMES
 from repro.predictors import make_predictor
 from repro.profiling import profile_and_select
-from repro.sim.functional import ENGINES, FunctionalSimulator
-from repro.sim.pipeline import DEFAULT_ENGINE, PipelineSimulator
+from repro.sim.functional import FunctionalSimulator
+from repro.sim.pipeline import PipelineSimulator
 
 
 def _load_program(path: str):
@@ -156,7 +156,7 @@ def cmd_asm(args) -> int:
 
 def cmd_run(args) -> int:
     prog = _load_program(args.file)
-    sim = FunctionalSimulator(prog, engine=args.engine)
+    sim = FunctionalSimulator(prog)
     n = sim.run(max_instructions=args.max_instructions)
     print("retired %d instructions" % n)
     for i in range(32):
@@ -184,7 +184,7 @@ def cmd_sim(args) -> int:
     asbr = _build_asbr(prog, args)
     tracer = _make_cli_tracer(args)
     sim = PipelineSimulator(prog, predictor=make_predictor(args.predictor),
-                            asbr=asbr, trace=tracer, engine=args.engine)
+                            asbr=asbr, trace=tracer)
     stats = sim.run()
     _report_run(args, stats, asbr.state_bits if asbr is not None else None,
                 tracer, prog)
@@ -223,7 +223,7 @@ def cmd_workload(args) -> int:
     spec = RunSpec(benchmark=args.name, n_samples=args.samples,
                    seed=args.seed, predictor_spec=args.predictor,
                    with_asbr=args.asbr, bit_capacity=args.bit_size,
-                   bdt_update=args.bdt_update, engine=args.engine)
+                   bdt_update=args.bdt_update)
     wl = get_workload(args.name)
     asbr_bits = None
     if args.asbr:
@@ -502,15 +502,6 @@ def cmd_faults_report(args) -> int:
     return 0
 
 
-def _add_engine_option(p, default: str) -> None:
-    p.add_argument("--engine", default=default, choices=ENGINES,
-                   help="execution engine (default %s): 'interp' is the "
-                        "interpreted loop; 'blocks' and 'superblocks' "
-                        "both name the compiled engine, which is "
-                        "bit-identical and falls back to interp when "
-                        "tracing is attached" % default)
-
-
 def _add_sim_options(p) -> None:
     p.add_argument("--predictor", default="bimodal-2048",
                    help="predictor spec (e.g. not-taken, bimodal-512-512, "
@@ -531,7 +522,6 @@ def _add_sim_options(p) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit stats (and telemetry tables when "
                         "enabled) as JSON on stdout")
-    _add_engine_option(p, DEFAULT_ENGINE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -550,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="functional (golden) simulation")
     p.add_argument("file")
     p.add_argument("--max-instructions", type=int, default=100_000_000)
-    _add_engine_option(p, "interp")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("sim", help="cycle-accurate pipeline simulation")

@@ -26,7 +26,6 @@ from typing import Dict, List, Tuple
 
 from repro.asbr.folding import THRESHOLD_BY_UPDATE
 from repro.runner.pool import RunSpec
-from repro.sim.pipeline import DEFAULT_ENGINE
 
 BDT_UPDATES: Tuple[str, ...] = ("commit", "mem", "execute")
 
@@ -154,12 +153,8 @@ class DesignPoint:
         return base
 
     def to_spec(self, benchmark: str, n_samples: int,
-                seed: int, engine: str = DEFAULT_ENGINE) -> RunSpec:
-        """The :class:`RunSpec` evaluating this point on one workload.
-
-        ``engine`` selects the execution engine; it is not part of the
-        point's identity (results are bit-identical across engines).
-        """
+                seed: int) -> RunSpec:
+        """The :class:`RunSpec` evaluating this point on one workload."""
         return RunSpec(benchmark=benchmark, n_samples=n_samples,
                        seed=seed, predictor_spec=self.predictor_spec,
                        with_asbr=self.with_asbr,
@@ -167,7 +162,6 @@ class DesignPoint:
                        bdt_update=self.bdt_update,
                        min_fold_fraction=self.min_fold_fraction,
                        min_count=self.min_count,
-                       engine=engine,
                        frontend=self.frontend,
                        btb_l1_entries=self.btb_l1_entries,
                        btb_l2_entries=self.btb_l2_entries,

@@ -42,9 +42,6 @@ from repro.isa.opcodes import Kind
 from repro.telemetry.events import (
     BTB_HIT,
     BTB_MISS,
-    FETCH,
-    FOLD_HIT,
-    FOLD_MISS,
     FTQ_OCCUPANCY,
     PREFETCH_ISSUE,
     PREFETCH_USEFUL,
@@ -375,35 +372,6 @@ class DecoupledFrontend:
             return
         self.stats.fold_resteers += 1
         self.redirect(fold.next_pc)
-
-    # ------------------------------------------------------------------
-    # fetch-event emission (the event shapes of the coupled
-    # PipelineSimulator._start_fetch; no-ops until a tracer attaches)
-    # ------------------------------------------------------------------
-    def note_fetch(self, pc: int, seq: int) -> None:
-        if self._emit is not None:
-            self._emit(TraceEvent(self.sim.stats.cycles, FETCH, pc, seq))
-
-    def note_uncond_fetch(self, tpc: int, seq: int, branch_pc: int) -> None:
-        if self._emit is not None:
-            self._emit(TraceEvent(self.sim.stats.cycles, FETCH, tpc, seq,
-                                  {"fold": "uncond",
-                                   "branch_pc": branch_pc}))
-
-    def note_fold_hit(self, fold, pc: int, seq: int) -> None:
-        if self._emit is not None:
-            cycle = self.sim.stats.cycles
-            self._emit(TraceEvent(cycle, FOLD_HIT, pc, seq,
-                                  {"taken": fold.taken,
-                                   "instr_pc": fold.instr_pc,
-                                   "next_pc": fold.next_pc}))
-            self._emit(TraceEvent(cycle, FETCH, fold.instr_pc, seq,
-                                  {"fold": "asbr", "branch_pc": pc}))
-
-    def note_fold_miss(self, pc: int, asbr) -> None:
-        if self._emit is not None:
-            self._emit(TraceEvent(self.sim.stats.cycles, FOLD_MISS, pc,
-                                  data={"reason": asbr.miss_reason(pc)}))
 
     @property
     def state_bits(self) -> int:

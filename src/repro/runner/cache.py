@@ -169,10 +169,12 @@ def input_digest(values) -> str:
 def config_digest(spec: RunSpec) -> str:
     """Digest of the run configuration (spec fields + cache version).
 
-    ``spec.engine`` is deliberately *excluded*: the interpreted and
-    compiled engines are bit-identical (locked by the golden and
-    differential suites), so results cached under one engine are served
-    to runs requesting the other.
+    Every :class:`RunSpec` field enters except ``benchmark``,
+    ``n_samples`` and ``seed``, whose program and input
+    :func:`key_for_spec` digests.  Which loop simulated is not a field:
+    each ``run()`` picks it from what is attached, and the reference
+    and compiled loops are bit-identical (locked by the golden and
+    differential suites).
     """
     return _sha("config", "v%d" % CACHE_VERSION, SELECTION_BASELINE,
                 spec.predictor_spec, str(spec.with_asbr),

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 # SELECTION_BASELINE is re-exported: the result cache's config digest
 # names it
 from repro.profiling.selection import SELECTION_BASELINE  # noqa: F401
-from repro.sim.pipeline import DEFAULT_ENGINE, PipelineStats
+from repro.sim.pipeline import PipelineStats
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class RunSpec:
     bdt_update: str = "execute"
     min_fold_fraction: float = 0.5
     min_count: int = 16
-    #: execution engine (one of ``repro.sim.ENGINES``); never part of
-    #: the result cache key — the engines are bit-identical by
-    #: construction
-    engine: str = DEFAULT_ENGINE
     #: decoupled front end (:mod:`repro.frontend`); off by default so
     #: legacy specs keep their exact seed timing.  The five knobs below
     #: only matter when ``frontend`` is set but, like the ASBR selection
@@ -118,14 +114,14 @@ def _execute(spec: RunSpec, trace=None) -> PipelineStats:
                                           capacity=spec.bit_capacity,
                                           bdt_update=spec.bdt_update)
     frontend = None
-    if getattr(spec, "frontend", False):
+    if spec.frontend:
         from repro.frontend import FrontendConfig
         frontend = FrontendConfig(btb_l1_entries=spec.btb_l1_entries,
                                   btb_l2_entries=spec.btb_l2_entries,
                                   btb_l2_assoc=spec.btb_l2_assoc,
                                   ftq_depth=spec.ftq_depth,
                                   fdip=spec.fdip)
-    if getattr(spec, "backend", "inorder") == "ooo":
+    if spec.backend == "ooo":
         from repro.sim.ooo import OoOConfig
         config = OoOConfig(issue_width=spec.issue_width,
                            rob_size=spec.rob_size,
@@ -140,8 +136,6 @@ def _execute(spec: RunSpec, trace=None) -> PipelineStats:
                                  predictor=make_predictor(
                                      spec.predictor_spec),
                                  asbr=asbr, trace=trace,
-                                 engine=getattr(spec, "engine",
-                                                DEFAULT_ENGINE),
                                  frontend=frontend)
     if result.outputs != wl.golden_output(pcm):
         raise AssertionError(

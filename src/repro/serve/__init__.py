@@ -8,8 +8,7 @@ crash-tolerant worker pool and mergeable telemetry.  This package is
 the front half:
 
 * :mod:`~repro.serve.protocol` — the JSON wire format; a request's
-  identity is the runner's existing spec hash, with the execution
-  engine excluded (bit-identical engines share one cache entry);
+  identity is the runner's existing spec hash;
 * :mod:`~repro.serve.jobs` — job records with streamable per-spec
   progress events and honest terminal states (``done``/``failed``);
 * :mod:`~repro.serve.server` — the asyncio daemon: ``/run`` with

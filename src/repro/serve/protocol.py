@@ -4,16 +4,18 @@ One rule governs the whole API: **the wire identity of a run is the
 runner's existing content-addressed cache key** (:func:`repro.runner.
 key_for_spec`).  Two submissions whose JSON bodies decode to equal
 :class:`~repro.runner.RunSpec`\\ s therefore share a spec hash, a cache
-shard, an in-flight coalescing slot and (with ``engine`` deliberately
-excluded from the key, the PR 5 invariant) one simulation — no matter
-which engine either request asked for.  ``tests/test_serve_protocol.py``
-locks this with hypothesis at the API boundary.
+shard, an in-flight coalescing slot and one simulation.
+``tests/test_serve_protocol.py`` locks this with hypothesis at the API
+boundary.
 
 :func:`spec_from_wire` is strict: unknown fields, missing required
 fields and mistyped values raise :class:`WireError` (rendered as HTTP
 400) instead of being guessed at — a service accepting sweeps from
 many tenants must not silently coerce one tenant's typo into another
-tenant's cache entry.
+tenant's cache entry.  The one exception is ``engine``: specs once
+named the simulator loop to run, and request bodies and job WALs
+written then may still carry one of :data:`RETIRED_ENGINES`.  The
+decoder drops it, so such a body decodes to the spec it always named.
 """
 
 from __future__ import annotations
@@ -22,13 +24,16 @@ import dataclasses
 from typing import Dict, List
 
 from repro.runner import RunSpec, key_for_spec, shard_of
-from repro.sim.functional import ENGINES
-from repro.sim.pipeline import DEFAULT_ENGINE
 from repro.workloads import WORKLOAD_NAMES
 
 _REQUIRED = ("benchmark", "n_samples", "seed", "predictor_spec")
 _BDT_UPDATES = ("commit", "mem", "execute")
 _BACKENDS = ("inorder", "ooo")
+
+#: every value the retired ``engine`` spec field accepted.  Each
+#: simulator now picks its own loop, so the field is dropped on decode;
+#: any other value is still rejected.
+RETIRED_ENGINES = ("interp", "blocks", "superblocks")
 
 
 class WireError(ValueError):
@@ -48,7 +53,7 @@ _FIELD_TYPES: Dict[str, type] = {
 
 
 def spec_to_wire(spec: RunSpec) -> dict:
-    """JSON-ready dict carrying every RunSpec field (incl. engine)."""
+    """JSON-ready dict carrying every RunSpec field."""
     return dataclasses.asdict(spec)
 
 
@@ -57,6 +62,11 @@ def spec_from_wire(obj) -> RunSpec:
     if not isinstance(obj, dict):
         raise WireError("spec must be a JSON object, got %s"
                         % type(obj).__name__)
+    if "engine" in obj:
+        if obj["engine"] not in RETIRED_ENGINES:
+            raise WireError("engine must be one of: %s"
+                            % ", ".join(RETIRED_ENGINES))
+        obj = {k: v for k, v in obj.items() if k != "engine"}
     unknown = sorted(set(obj) - set(_FIELD_TYPES))
     if unknown:
         raise WireError("unknown spec field(s): %s" % ", ".join(unknown))
@@ -88,8 +98,6 @@ def spec_from_wire(obj) -> RunSpec:
                            ", ".join(sorted(WORKLOAD_NAMES))))
     if kwargs["n_samples"] <= 0:
         raise WireError("n_samples must be positive")
-    if kwargs.get("engine", DEFAULT_ENGINE) not in ENGINES:
-        raise WireError("engine must be one of: %s" % ", ".join(ENGINES))
     if kwargs.get("bdt_update", "execute") not in _BDT_UPDATES:
         raise WireError("bdt_update must be one of: %s"
                         % ", ".join(_BDT_UPDATES))

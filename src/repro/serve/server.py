@@ -75,7 +75,6 @@ from repro.serve.protocol import (
     spec_key,
     specs_from_wire,
 )
-from repro.sim.pipeline import DEFAULT_ENGINE
 from repro.telemetry.events import (
     SERVE_DEADLINE,
     SERVE_DRAIN,
@@ -632,7 +631,6 @@ class Server:
             "n_samples": obj.get("n_samples", 600),
             "seed": obj.get("seed", 20010618),
             "predictor_spec": "bimodal-2048",
-            "engine": obj.get("engine", DEFAULT_ENGINE),
         })
         points = space.points()
         n_points = obj.get("n_points")
@@ -642,8 +640,8 @@ class Server:
                     or n_points <= 0:
                 raise WireError("n_points must be a positive integer")
             points = space.sample(min(n_points, len(points)), probe.seed)
-        specs = [p.to_spec(probe.benchmark, probe.n_samples, probe.seed,
-                           engine=probe.engine) for p in points]
+        specs = [p.to_spec(probe.benchmark, probe.n_samples, probe.seed)
+                 for p in points]
         meta = {"space_digest": space.digest(),
                 "benchmark": probe.benchmark,
                 "n_samples": probe.n_samples, "seed": probe.seed,

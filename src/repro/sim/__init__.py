@@ -11,25 +11,27 @@
   recovery) sharing the in-order machine's fetch-side mechanisms
   (ASBR folding, decoupled front end) and architectural semantics.
 
-The functional and pipeline simulators each have two engines,
-``interp`` and one compiled engine, bit-identical to each other
-(:data:`ENGINES` lists the accepted names):
+The functional and pipeline simulators each have two loops, a
+reference loop and a compiled one, bit-identical to each other.
+``run()`` picks the compiled loop whenever nothing observes per-step
+work, and the reference loop, which ``run_reference()`` also runs by
+name, otherwise:
 
-* :mod:`~repro.sim.superblocks` — the pipeline's compiled loop, its
-  default (:data:`~repro.sim.pipeline.DEFAULT_ENGINE`): the ASBR fold
-  check, BDT update points and predictor updates are compiled into the
-  loop body.  ``engine="blocks"`` names the same loop.
-* :mod:`~repro.sim.blocks` — the functional simulator's compiled
-  engine (``engine="blocks"``, or its alias ``"superblocks"``): basic
-  blocks are compiled to specialized Python functions, memoised per
-  process.  The functional default stays ``interp``; the translator's
-  profiling mode is :func:`collect_branch_trace`, the one functional
-  pass behind branch profiling.
+* :mod:`~repro.sim.superblocks` — the pipeline's compiled loop: the
+  ASBR fold check, BDT update points and predictor updates are
+  compiled into the loop body.  A tracer, a decoupled front end, a
+  subclass or a ``tick`` wrapped on the instance (fault injection)
+  makes ``PipelineSimulator.run`` take the ``tick()`` loop.
+* :mod:`~repro.sim.blocks` — the functional simulator's block
+  translator: basic blocks are compiled to specialized Python
+  functions, memoised per process.  An observer or a tracer makes
+  ``FunctionalSimulator.run`` take the per-instruction plan loop.  The
+  translator's profiling mode is :func:`collect_branch_trace`, the one
+  functional pass behind branch profiling.
 """
 
 from repro.sim.blocks import CompiledBlocks, compile_blocks
 from repro.sim.functional import (
-    ENGINES,
     FunctionalSimulator,
     SimulationError,
     BranchRecord,
@@ -38,15 +40,12 @@ from repro.sim.functional import (
 )
 from repro.sim.ooo import OoOConfig, OoOSimulator, OoOStats
 from repro.sim.pipeline import (
-    DEFAULT_ENGINE,
     PipelineConfig,
     PipelineSimulator,
     PipelineStats,
 )
 
 __all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINES",
     "FunctionalSimulator",
     "SimulationError",
     "BranchRecord",

@@ -1,4 +1,6 @@
-"""Block-compiled functional engine (a basic-block translation cache).
+"""The functional simulator's block translator (a basic-block
+translation cache): what ``FunctionalSimulator.run`` executes when
+nothing observes retirement.
 
 The functional simulator's plan loop still pays one Python-level
 indirect call per retired instruction.  This module removes that floor
@@ -30,9 +32,11 @@ shared list ``S``:
     cumulative retired-instruction count; each block adds its length
     right before its terminator.
 
-Bit-identity with the interpreted loop — including mid-block traps,
-``max_instructions`` exhaustion and out-of-text errors — is the whole
-point: the generated statements replicate the execution plans of
+Bit-identity with the reference loop
+(:meth:`~repro.sim.functional.FunctionalSimulator.run_reference`),
+including mid-block traps, ``max_instructions`` exhaustion and
+out-of-text errors, is the whole point: the generated statements
+replicate the execution plans of
 :class:`~repro.sim.functional.FunctionalSimulator` expression by
 expression, and a *budget margin* keeps the fast loop from ever running
 past the instruction budget (the precise tail is single-stepped on the
@@ -637,7 +641,8 @@ def profile_pass(sim, max_instructions: int) -> BranchTrace:
 # ======================================================================
 def run_functional_blocks(sim, max_instructions: int,
                           prof: Optional[ProfilePass] = None) -> int:
-    """Block-dispatch twin of ``FunctionalSimulator.run`` (no observer).
+    """Block-dispatch twin of ``FunctionalSimulator.run_reference``
+    (no observer): what ``FunctionalSimulator.run`` executes.
 
     The fast loop only runs a block while at least ``max_len`` budget
     remains, so a block can never overrun ``max_instructions``; the

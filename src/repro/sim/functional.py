@@ -9,7 +9,7 @@ final registers and memory must match this model exactly.
 instruction (telemetry rides it).  Profiling does not: the branch
 profiler in :mod:`repro.profiling` gets its outcome trace and its
 definition-to-branch distances from :func:`collect_branch_trace`, one
-run on the profiling mode of the block-compiled engine
+run on the profiling mode of the block translator
 (:mod:`repro.sim.blocks`).
 
 Fast path
@@ -18,10 +18,13 @@ At construction the simulator compiles every static instruction into a
 small closure (an *execution plan*) with the opcode dispatch, ALU
 callable, operand register indices and control-flow targets all resolved
 ahead of time — the PC of each text slot is fixed, so even branch and
-jump targets are absolute constants.  ``run``/``step`` execute plans
-directly; :meth:`FunctionalSimulator.execute` remains the reference
-(re-dispatching) implementation and defines the architectural semantics
-the plans must reproduce (see ``tests/test_differential_random.py``).
+jump targets are absolute constants.  :meth:`FunctionalSimulator.run`
+runs the block translator (:mod:`repro.sim.blocks`) when nothing
+observes retirement, and :meth:`FunctionalSimulator.run_reference`, the
+plan loop, otherwise.  :meth:`FunctionalSimulator.execute` remains the
+reference (re-dispatching) implementation and defines the architectural
+semantics the plans must reproduce (see
+``tests/test_differential_random.py``).
 """
 
 from __future__ import annotations
@@ -51,13 +54,6 @@ _STORE_SIZE = {"sb": 1, "sh": 2, "sw": 4}
 
 class SimulationError(RuntimeError):
     """A program did something architecturally illegal."""
-
-
-#: every ``engine=`` name the simulators, ``RunSpec`` and the wire
-#: format accept.  ``"blocks"`` and ``"superblocks"`` name one compiled
-#: engine per simulator: functional ``"superblocks"`` runs the blocks
-#: translator and pipeline ``"blocks"`` runs the superblocks loop.
-ENGINES = ("interp", "blocks", "superblocks")
 
 
 #: Definition-to-branch distances from this far up count as "far"
@@ -120,29 +116,10 @@ class FunctionalSimulator:
         When omitted, a fresh memory is created and the program's data
         segment is loaded into it.  A private copy is NOT taken; pass
         ``memory.copy()`` if the caller wants to keep the original.
-    engine:
-        ``"interp"`` (default) runs the per-instruction plan loop;
-        ``"blocks"`` runs the block-compiled translation cache
-        (:mod:`repro.sim.blocks`) — bit-identical architectural state,
-        retire counts and errors, several times faster.
-        ``"superblocks"`` is accepted as an alias for ``"blocks"``:
-        the functional translation cache already chains hot
-        block-to-block successors.  ``run`` falls back to the
-        interpreted loop whenever an observer or tracer is attached
-        (they need per-instruction visibility).  The default stays
-        ``"interp"``, the reference the compiled engine is checked
-        against.
     """
 
     def __init__(self, program: Program,
-                 memory: Optional[MainMemory] = None,
-                 engine: str = "interp") -> None:
-        if engine not in ENGINES:
-            raise ValueError("unknown engine %r (expected one of %s)"
-                             % (engine, ", ".join(ENGINES)))
-        if engine == "superblocks":
-            engine = "blocks"   # functional blocks already chain
-        self.engine = engine
+                 memory: Optional[MainMemory] = None) -> None:
         self.program = program
         if memory is None:
             memory = MainMemory()
@@ -158,8 +135,8 @@ class FunctionalSimulator:
         self.halted = False
         self.instructions_retired = 0
         self.ctl_writes: List[int] = []   # values written via ctlw
-        # the plans are also the block engine's precise single-step
-        # path for budget tails and indirect-jump misses
+        # the plans are also the block translator's precise
+        # single-step path for budget tails and indirect-jump misses
         self._plans: List[Callable[[], int]] = [
             self._compile(instr, program.pc_of(i))
             for i, instr in enumerate(program.instrs)
@@ -306,8 +283,9 @@ class FunctionalSimulator:
     def execute(self, instr: Instruction) -> None:
         """Execute ``instr`` at the current PC and advance the PC.
 
-        This is the reference (re-dispatching) semantics; ``run`` and
-        ``step`` use the pre-compiled plans, which must match it.
+        This is the reference (re-dispatching) semantics;
+        :meth:`run_reference`, ``step`` and the block translator use the
+        pre-compiled plans, which must match it.
         """
         pc = self.pc
         next_pc = (pc + 4) & 0xFFFFFFFF
@@ -370,24 +348,33 @@ class FunctionalSimulator:
         """Run to ``halt``; returns the number of instructions retired.
 
         ``observer(pc, instr, next_pc)`` is invoked after each retired
-        instruction when supplied (used by the profiler).  ``trace``
-        (a :class:`repro.telemetry.Tracer`) is the light telemetry
-        hook: it rides the same observer slot, emitting one ``retire``
-        event per instruction, and composes with an explicit observer.
-        Both default to None and then cost nothing — the loop's
-        existing None check is the whole disabled path.  Raises
-        :class:`SimulationError` if the instruction budget is exhausted
-        (runaway program).
+        instruction when supplied.  ``trace`` (a
+        :class:`repro.telemetry.Tracer`) is the light telemetry hook:
+        it rides the same observer slot, emitting one ``retire`` event
+        per instruction, and composes with an explicit observer.  With
+        neither attached the run takes the block translator
+        (:mod:`repro.sim.blocks`); with either it takes
+        :meth:`run_reference`, which calls back per instruction.  Both
+        give bit-identical architectural state, retire counts and
+        errors.  Raises :class:`SimulationError` if the instruction
+        budget is exhausted (runaway program).
         """
         if trace is not None:
             from repro.telemetry.tracer import retire_observer
             observer = retire_observer(trace, observer)
-        if observer is None and self.engine == "blocks":
-            # block-compiled fast path; observers and tracers need
-            # per-instruction callbacks, so their presence falls back to
-            # the interpreted loop below
+        if observer is None:
             from repro.sim.blocks import run_functional_blocks
             return run_functional_blocks(self, max_instructions)
+        return self.run_reference(max_instructions, observer)
+
+    def run_reference(self, max_instructions: int = 200_000_000,
+                      observer: Optional[Callable[[int, Instruction, int],
+                                                  None]] = None) -> int:
+        """The reference loop: one execution plan per instruction.
+
+        Same contract as :meth:`run`, minus ``trace``; the block
+        translator is checked against this loop, and the equivalence
+        locks call it by name."""
         plans = self._plans
         instrs = self.program.instrs
         base = self.program.text_base
@@ -455,7 +442,7 @@ def collect_branch_trace(program: Program,
     are produced.  The same run tallies, per branch, its outcomes and
     the definition-to-branch distances :mod:`repro.profiling` reduces
     to a :class:`~repro.profiling.BranchProfile`.  It is one run on the
-    profiling mode of the block-compiled engine; raises
+    profiling mode of the block translator; raises
     :class:`SimulationError` when ``max_instructions`` run out first.
     """
     from repro.sim.blocks import profile_pass

@@ -110,15 +110,16 @@ from repro.telemetry.events import (
     CHECKPOINT_RESTORE,
     COMMIT,
     DECODE,
-    FETCH,
-    FOLD_HIT,
-    FOLD_MISS,
     IQ_WAKEUP,
     ISSUE,
     RENAME_ALLOC,
     SQUASH,
     SQUASH_DEPTH,
     TraceEvent,
+    emit_fetch,
+    emit_fold_hit,
+    emit_fold_miss,
+    emit_uncond_fold,
 )
 
 #: seq sentinel larger than any real sequence number
@@ -769,8 +770,7 @@ class OoOSimulator:
                 fetched += 1
                 extra = self._icache_access(pc)
                 if emit is not None:
-                    emit(TraceEvent(cycle, FETCH, tpc, op.seq,
-                                    {"fold": "uncond", "branch_pc": pc}))
+                    emit_uncond_fold(emit, cycle, tpc, op.seq, pc)
                 self.fetch_pc = next_pc
                 if self._miss(op, extra) or next_pc != pc + 4:
                     return             # fill in flight / group ends
@@ -791,21 +791,13 @@ class OoOSimulator:
                         fetched += 1
                         extra = self._icache_access(pc)
                         if emit is not None:
-                            emit(TraceEvent(cycle, FOLD_HIT, pc, op.seq,
-                                            {"taken": fold.taken,
-                                             "instr_pc": fold.instr_pc,
-                                             "next_pc": fold.next_pc}))
-                            emit(TraceEvent(cycle, FETCH, fold.instr_pc,
-                                            op.seq, {"fold": "asbr",
-                                                     "branch_pc": pc}))
+                            emit_fold_hit(emit, cycle, fold, pc, op.seq)
                         self.fetch_pc = fold.next_pc
                         if self._miss(op, extra) or fold.next_pc != pc + 4:
                             return
                         continue
                     elif emit is not None:
-                        emit(TraceEvent(cycle, FOLD_MISS, pc,
-                                        data={"reason":
-                                              self.asbr.miss_reason(pc)}))
+                        emit_fold_miss(emit, cycle, pc, self.asbr)
                 pred = self.predictor.predict(pc)
                 stats.predictor_lookups += 1
                 op = self._new_op(d, pc)
@@ -818,7 +810,7 @@ class OoOSimulator:
                 fetched += 1
                 extra = self._icache_access(pc)
                 if emit is not None:
-                    emit(TraceEvent(cycle, FETCH, pc, op.seq))
+                    emit_fetch(emit, cycle, pc, op.seq)
                 self.fetch_pc = op.pred_next_pc
                 if self._miss(op, extra) or op.pred_next_pc != d.pc4:
                     return             # fill in flight / predicted taken
@@ -832,7 +824,7 @@ class OoOSimulator:
             fetched += 1
             extra = self._icache_access(pc)
             if emit is not None:
-                emit(TraceEvent(cycle, FETCH, pc, op.seq))
+                emit_fetch(emit, cycle, pc, op.seq)
             exk = d.exk
             if d.is_jump:
                 # merged fetch/decode resolves direct jumps immediately
@@ -876,6 +868,7 @@ class OoOSimulator:
         cap = 2 * self.width
         dec = self._dec
         base = self._text_base
+        emit = self._emit
         fetched = 0
         while fetched < self.width and len(buf) < cap:
             entry = fe.fetch_entry()
@@ -894,7 +887,9 @@ class OoOSimulator:
                     return
                 buf.append(op)
                 fetched += 1
-                fe.note_uncond_fetch(entry.pc, op.seq, entry.fetch_addr)
+                if emit is not None:
+                    emit_uncond_fold(emit, cycle, entry.pc, op.seq,
+                                     entry.fetch_addr)
                 extra = fe.demand_access(entry.fetch_addr)
                 self.fetch_pc = entry.pred_next_pc
                 if self._miss(op, extra):
@@ -914,14 +909,16 @@ class OoOSimulator:
                         return
                     buf.append(op)
                     fetched += 1
-                    fe.note_fold_hit(fold, entry.pc, op.seq)
+                    if emit is not None:
+                        emit_fold_hit(emit, cycle, fold, entry.pc, op.seq)
                     extra = fe.demand_access(entry.fetch_addr)
                     self.fetch_pc = fold.next_pc
                     fe.fold_consumed(fold)
                     if self._miss(op, extra):
                         return
                     continue           # FTQ realigned; keep fetching
-                fe.note_fold_miss(entry.pc, self.asbr)
+                if emit is not None:
+                    emit_fold_miss(emit, cycle, entry.pc, self.asbr)
 
             if d.is_branch:
                 op = self._new_op(d, entry.pc)
@@ -929,7 +926,8 @@ class OoOSimulator:
                 op.pred_next_pc = entry.pred_next_pc
                 buf.append(op)
                 fetched += 1
-                fe.note_fetch(entry.pc, op.seq)
+                if emit is not None:
+                    emit_fetch(emit, cycle, entry.pc, op.seq)
                 extra = fe.demand_access(entry.fetch_addr)
                 self.fetch_pc = entry.pred_next_pc
                 if self._miss(op, extra) or entry.pred_next_pc != d.pc4:
@@ -944,7 +942,8 @@ class OoOSimulator:
                 return
             buf.append(op)
             fetched += 1
-            fe.note_fetch(entry.pc, op.seq)
+            if emit is not None:
+                emit_fetch(emit, cycle, entry.pc, op.seq)
             extra = fe.demand_access(entry.fetch_addr)
             miss = self._miss(op, extra)
             exk = op.d.exk

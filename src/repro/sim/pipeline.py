@@ -41,11 +41,12 @@ them; ``tests/test_differential_random.py`` locks architectural state).
 
 Compiled loop
 -------------
-By default ``run()`` executes
-:func:`~repro.sim.superblocks.run_pipeline_superblocks`, a monolithic
-transcription of ``tick()`` with the ASBR fold checks compiled in.  It
-falls back to the ``tick()`` loop whenever something needs to observe
-or replace per-cycle work (see :meth:`PipelineSimulator.run`).
+``run()`` executes :func:`~repro.sim.superblocks.run_pipeline_superblocks`,
+a monolithic transcription of ``tick()`` with the ASBR fold checks
+compiled in, unless something observes or replaces per-cycle work; then
+it runs :meth:`PipelineSimulator.run_reference`, the ``tick()`` loop
+(see :meth:`PipelineSimulator.run`).  The reference loop is also what
+the equivalence locks call by name.
 
 Telemetry
 ---------
@@ -85,26 +86,21 @@ from repro.sim.core import (
     init_core_state,
     record_counts,
 )
-from repro.sim.functional import ENGINES, SimulationError
+from repro.sim.functional import SimulationError
 from repro.telemetry.events import (
     BDT_UPDATE,
     COMMIT,
     DECODE,
-    FETCH,
-    FOLD_HIT,
-    FOLD_MISS,
     ISSUE,
     NO_DATA,
     REDIRECT,
     SQUASH,
     TraceEvent,
+    emit_fetch,
+    emit_fold_hit,
+    emit_fold_miss,
+    emit_uncond_fold,
 )
-
-
-#: the engine every pipeline run uses unless told otherwise: the
-#: compiled loop.  ``RunSpec``, the workload harness, DSE, the CLI and
-#: the serve daemon all default to this one name.
-DEFAULT_ENGINE = "superblocks"
 
 
 @dataclass
@@ -162,8 +158,7 @@ class PipelineSimulator:
                  asbr: Optional[ASBRUnit] = None,
                  config: Optional[PipelineConfig] = None,
                  fold_unconditional: bool = False,
-                 trace=None, engine: str = DEFAULT_ENGINE,
-                 frontend=None) -> None:
+                 trace=None, frontend=None) -> None:
         """``fold_unconditional`` enables CRISP-style folding of
         statically-unconditional control transfers (``j`` and
         ``beq r0, r0``) at fetch — the classic scheme of Ditzel &
@@ -175,20 +170,9 @@ class PipelineSimulator:
         ``trace`` attaches a :class:`repro.telemetry.Tracer`: its
         ``emit`` becomes ``self._emit`` (and the front end's), which
         the guarded emit sites of ``tick()`` and its helpers call.
-        Untraced, each site costs one None check, and the default
-        compiled loop has none.  Traced runs produce bit-identical
-        statistics and architectural state.
-
-        ``engine`` selects the execution engine: ``"superblocks"`` (the
-        default, :data:`DEFAULT_ENGINE`) runs the compiled loop of
-        :mod:`repro.sim.superblocks`, which compiles the ASBR fold
-        checks, BDT update points and predictor decisions into the loop
-        body with bit-identical statistics; ``"blocks"`` is accepted as an
-        alias for it, the way the functional simulator maps
-        ``"superblocks"`` onto its blocks engine; ``"interp"`` is the
-        decoded-dispatch ``tick()`` loop.  When telemetry is attached
-        or ``tick`` has been wrapped on the instance (fault injection),
-        ``run`` transparently falls back to the interpreted loop.
+        Untraced, each site costs one None check, and the compiled
+        loop has none: a traced run takes the ``tick()`` loop.  Traced
+        runs produce bit-identical statistics and architectural state.
 
         ``frontend`` attaches the decoupled front end
         (:mod:`repro.frontend`): pass a
@@ -197,14 +181,7 @@ class PipelineSimulator:
         running ahead of fetch and — when configured — FDIP I-cache
         prefetching.  Default None keeps the seed fetch path untouched
         (bit-identical stats, golden-locked); like telemetry, an
-        attached frontend makes the compiled engine fall back to the
-        interpreted loop."""
-        if engine not in ENGINES:
-            raise ValueError("unknown engine %r (expected one of %s)"
-                             % (engine, ", ".join(ENGINES)))
-        if engine == "blocks":
-            engine = "superblocks"   # one compiled pipeline loop
-        self.engine = engine
+        attached frontend makes ``run`` take the ``tick()`` loop."""
         self.config = config if config is not None else PipelineConfig()
         self.fold_unconditional = fold_unconditional
         # shared architectural state + frontend attach surface (memory
@@ -271,17 +248,33 @@ class PipelineSimulator:
     # public API
     # ==================================================================
     def run(self) -> PipelineStats:
-        """Simulate until the program's ``halt`` commits."""
-        try:
-            # the compiled loop has no emit sites and no per-cycle hook:
-            # a traced run, a front end, a subclass or a tick wrapped on
-            # the instance (fault injection) takes the tick() loop
-            if (self.engine == "superblocks" and self.trace is None
-                    and self.frontend is None
-                    and type(self) is PipelineSimulator
-                    and "tick" not in self.__dict__):
-                from repro.sim.superblocks import run_pipeline_superblocks
+        """Simulate until the program's ``halt`` commits.
+
+        Runs the compiled loop (:mod:`repro.sim.superblocks`) unless
+        something observes or replaces per-cycle work, which the
+        compiled loop has no hook for: a tracer, a decoupled front end,
+        a subclass or a ``tick`` wrapped on the instance (fault
+        injection).  Those runs take :meth:`run_reference`.  Both loops
+        give bit-identical statistics and architectural state.
+        """
+        if (self.trace is None and self.frontend is None
+                and type(self) is PipelineSimulator
+                and "tick" not in self.__dict__):
+            from repro.sim.superblocks import run_pipeline_superblocks
+            try:
                 return run_pipeline_superblocks(self)
+            finally:
+                # after the compiled loop's own finally has written its
+                # cache and fold counters back
+                record_counts(self)
+        return self.run_reference()
+
+    def run_reference(self) -> PipelineStats:
+        """The reference loop: :meth:`tick` until ``halt`` commits.
+
+        The compiled loop is checked against this one; tests and
+        benchmarks call it by name."""
+        try:
             max_cycles = self.config.max_cycles
             stats = self.stats
             tick = self.tick
@@ -293,8 +286,6 @@ class PipelineSimulator:
                 tick()
             return stats
         finally:
-            # after the compiled loop's own finally has written its
-            # cache and fold counters back
             record_counts(self)
 
     # ==================================================================
@@ -546,8 +537,7 @@ class PipelineSimulator:
             stats.fetched += 1
             if emit is not None:
                 slot.seq = stats.fetched - 1
-                emit(TraceEvent(stats.cycles, FETCH, tpc, slot.seq,
-                                {"fold": "uncond", "branch_pc": pc}))
+                emit_uncond_fold(emit, stats.cycles, tpc, slot.seq, pc)
             self.fetch_pc = next_pc
             return
 
@@ -564,19 +554,12 @@ class PipelineSimulator:
                         slot.fold_pc = pc
                         slot.fold_taken = fold.taken
                         slot.seq = stats.fetched - 1
-                        emit(TraceEvent(stats.cycles, FOLD_HIT, pc,
-                                        slot.seq,
-                                        {"taken": fold.taken,
-                                         "instr_pc": fold.instr_pc,
-                                         "next_pc": fold.next_pc}))
-                        emit(TraceEvent(stats.cycles, FETCH,
-                                        fold.instr_pc, slot.seq,
-                                        {"fold": "asbr", "branch_pc": pc}))
+                        emit_fold_hit(emit, stats.cycles, fold, pc,
+                                      slot.seq)
                     self.fetch_pc = fold.next_pc
                     return
                 if emit is not None:
-                    emit(TraceEvent(stats.cycles, FOLD_MISS, pc, data={
-                        "reason": self.asbr.miss_reason(pc)}))
+                    emit_fold_miss(emit, stats.cycles, pc, self.asbr)
             pred = self.predictor.predict(pc)
             stats.predictor_lookups += 1
             slot = _Slot(d, pc)
@@ -588,7 +571,7 @@ class PipelineSimulator:
             stats.fetched += 1
             if emit is not None:
                 slot.seq = stats.fetched - 1
-                emit(TraceEvent(stats.cycles, FETCH, pc, slot.seq))
+                emit_fetch(emit, stats.cycles, pc, slot.seq)
             self.fetch_pc = slot.pred_next_pc
             return
 
@@ -597,7 +580,7 @@ class PipelineSimulator:
         stats.fetched += 1
         if emit is not None:
             slot.seq = stats.fetched - 1
-            emit(TraceEvent(stats.cycles, FETCH, pc, slot.seq))
+            emit_fetch(emit, stats.cycles, pc, slot.seq)
         self.fetch_pc = d.pc4
 
     def _frontend_fetch(self, fe) -> None:
@@ -618,6 +601,7 @@ class PipelineSimulator:
         if entry is None:
             return
         stats = self.stats
+        emit = self._emit
         extra = fe.demand_access(entry.fetch_addr)
         self.if_wait = extra
         if extra:
@@ -631,7 +615,9 @@ class PipelineSimulator:
             self.s_if = slot
             stats.fetched += 1
             slot.seq = stats.fetched - 1
-            fe.note_uncond_fetch(entry.pc, slot.seq, entry.fetch_addr)
+            if emit is not None:
+                emit_uncond_fold(emit, stats.cycles, entry.pc, slot.seq,
+                                 entry.fetch_addr)
             self.fetch_pc = entry.pred_next_pc
             return
 
@@ -646,17 +632,21 @@ class PipelineSimulator:
                 self.s_if = slot
                 stats.fetched += 1
                 slot.seq = stats.fetched - 1
-                fe.note_fold_hit(fold, entry.pc, slot.seq)
+                if emit is not None:
+                    emit_fold_hit(emit, stats.cycles, fold, entry.pc,
+                                  slot.seq)
                 self.fetch_pc = fold.next_pc
                 fe.fold_consumed(fold)
                 return
-            fe.note_fold_miss(entry.pc, self.asbr)
+            if emit is not None:
+                emit_fold_miss(emit, stats.cycles, entry.pc, self.asbr)
 
         slot = _Slot(d, entry.pc)
         slot.pred_next_pc = entry.pred_next_pc
         self.s_if = slot
         stats.fetched += 1
         slot.seq = stats.fetched - 1
-        fe.note_fetch(entry.pc, slot.seq)
+        if emit is not None:
+            emit_fetch(emit, stats.cycles, entry.pc, slot.seq)
         self.fetch_pc = entry.pred_next_pc
 

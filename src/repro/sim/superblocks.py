@@ -1,4 +1,5 @@
-"""The pipeline's compiled loop (``engine="superblocks"``, the default).
+"""The pipeline's compiled loop: what ``PipelineSimulator.run`` executes
+when nothing observes per-cycle work.
 
 :func:`run_pipeline_superblocks` is a monolithic transcription of
 ``PipelineSimulator.tick()``: every latch, flag and counter lives in
@@ -55,11 +56,11 @@ write the dirty bit; miss/eviction/writeback behavior is untouched.
 
 Fallback surface: an attached tracer, fault-injection ``tick``
 rebinding, a decoupled frontend or subclassing all make
-``PipelineSimulator.run`` take the interpreted loop instead (observers
-need per-cycle visibility into the real object graph).  The
-golden-stats locks, the differential sweep and
-``benchmarks/perf_smoke.py`` pin bit-identity of the full
-``PipelineStats`` against the interpreted loop.
+``PipelineSimulator.run`` take the reference ``tick()`` loop
+(``PipelineSimulator.run_reference``) instead: observers need
+per-cycle visibility into the real object graph.  The golden-stats
+locks, the differential sweep and ``benchmarks/perf_smoke.py`` pin
+bit-identity of the full ``PipelineStats`` against the reference loop.
 """
 
 from __future__ import annotations

@@ -189,3 +189,38 @@ class TraceEvent:
         extra = " %r" % (self.data,) if self.data else ""
         return ("TraceEvent(c=%d %s pc=0x%x seq=%d%s)"
                 % (self.cycle, self.kind, self.pc, self.seq, extra))
+
+
+# ----------------------------------------------------------------------
+# fetch-stage events: the one builder behind every fetch path (coupled
+# in-order fetch, out-of-order fetch, and the decoupled front end's
+# demand fetch on either machine).  Callers guard on ``emit``.
+# ----------------------------------------------------------------------
+def emit_fetch(emit, cycle: int, pc: int, seq: int) -> None:
+    """The instruction at ``pc`` entered fetch."""
+    emit(TraceEvent(cycle, FETCH, pc, seq))
+
+
+def emit_uncond_fold(emit, cycle: int, tpc: int, seq: int,
+                     branch_pc: int) -> None:
+    """A CRISP-style fold: the target at ``tpc`` fetched in the slot of
+    the unconditional transfer at ``branch_pc``."""
+    emit(TraceEvent(cycle, FETCH, tpc, seq,
+                    {"fold": "uncond", "branch_pc": branch_pc}))
+
+
+def emit_fold_hit(emit, cycle: int, fold, branch_pc: int,
+                  seq: int) -> None:
+    """An ASBR fold of the branch at ``branch_pc``: ``fold_hit``, then
+    the fetch of the replacement instruction."""
+    emit(TraceEvent(cycle, FOLD_HIT, branch_pc, seq,
+                    {"taken": fold.taken, "instr_pc": fold.instr_pc,
+                     "next_pc": fold.next_pc}))
+    emit(TraceEvent(cycle, FETCH, fold.instr_pc, seq,
+                    {"fold": "asbr", "branch_pc": branch_pc}))
+
+
+def emit_fold_miss(emit, cycle: int, branch_pc: int, asbr) -> None:
+    """The ASBR unit did not fold the branch at ``branch_pc``."""
+    emit(TraceEvent(cycle, FOLD_MISS, branch_pc,
+                    data={"reason": asbr.miss_reason(branch_pc)}))

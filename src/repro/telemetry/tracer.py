@@ -15,7 +15,8 @@ class Tracer:
     A simulator built with ``trace=tracer`` stores ``tracer.emit`` as
     its ``_emit`` and calls it from emit sites guarded by ``if emit is
     not None``; built without one, each site costs a None check, and
-    the in-order machine's default compiled loop has no sites at all.
+    the in-order machine's compiled loop, which an untraced run takes,
+    has no sites at all.
     """
 
     def __init__(self, *sinks) -> None:

@@ -18,8 +18,8 @@ from repro.asm.assembler import assemble
 from repro.asm.program import Program
 from repro.memory.main_memory import MainMemory
 from repro.sim.functional import FunctionalSimulator
-from repro.sim.pipeline import (DEFAULT_ENGINE, PipelineConfig,
-                                PipelineSimulator, PipelineStats)
+from repro.sim.pipeline import (PipelineConfig, PipelineSimulator,
+                                PipelineStats)
 from repro.workloads import golden, huffman
 
 #: Capacity of the .space reservations in the assembly sources.
@@ -148,10 +148,10 @@ class Workload:
 
     # ------------------------------------------------------------------
     def run_functional(self, pcm: Sequence[int],
-                       max_instructions: int = 500_000_000,
-                       engine: str = "interp") -> WorkloadResult:
+                       max_instructions: int = 500_000_000
+                       ) -> WorkloadResult:
         memory, count = self.memory_image(pcm)
-        sim = FunctionalSimulator(self.program, memory, engine=engine)
+        sim = FunctionalSimulator(self.program, memory)
         n = sim.run(max_instructions=max_instructions)
         return WorkloadResult(self.read_output(sim.memory, count),
                               instructions=n)
@@ -159,7 +159,6 @@ class Workload:
     def run_pipeline(self, pcm: Sequence[int], predictor=None, asbr=None,
                      config: Optional[PipelineConfig] = None,
                      trace=None, on_sim=None,
-                     engine: str = DEFAULT_ENGINE,
                      frontend=None) -> WorkloadResult:
         """``trace`` (a :class:`repro.telemetry.Tracer`) enables the
         pipeline's telemetry hooks for this run; None costs nothing.
@@ -175,7 +174,7 @@ class Workload:
         memory, count = self.memory_image(pcm)
         sim = PipelineSimulator(self.program, memory,
                                 predictor=predictor, asbr=asbr,
-                                config=config, trace=trace, engine=engine,
+                                config=config, trace=trace,
                                 frontend=frontend)
         if on_sim is not None:
             on_sim(sim)

@@ -136,7 +136,7 @@ t:
     def test_fold_in_loop_every_iteration(self, fold_demo_program):
         prog = fold_demo_program
         f = FunctionalSimulator(prog)
-        n = f.run()
+        n = f.run_reference()
         info = extract_branch_info(prog, prog.labels["br1"])
         unit = ASBRUnit.from_branch_infos([info], bdt_update="execute")
         sim = PipelineSimulator(prog, predictor=NotTakenPredictor(),
@@ -240,7 +240,7 @@ l2t:
         bank.load_bank(1, [extract_branch_info(prog, prog.labels["br2"])])
         unit = ASBRUnit(bank, bdt_update="execute")
         f = FunctionalSimulator(prog)
-        f.run()
+        f.run_reference()
         sim = PipelineSimulator(prog, predictor=NotTakenPredictor(),
                                 asbr=unit, config=perfect_caches())
         stats = sim.run()

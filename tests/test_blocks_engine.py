@@ -1,10 +1,10 @@
-"""Unit tests for the compiled engines (repro.sim.blocks for the
+"""Unit tests for the compiled loops (repro.sim.blocks for the
 functional simulator, repro.sim.superblocks for the pipeline).
 
 The differential sweep and golden locks prove bulk bit-identity; these
-tests pin down the engines' edges: budget and trap semantics, indirect
-jumps into the middle of a compiled block, when the pipeline enters its
-compiled loop and the interp fallbacks that preserve the
+tests pin down the loops' edges: budget and trap semantics, indirect
+jumps into the middle of a compiled block, when ``run()`` enters each
+compiled loop and the reference-loop fallbacks that preserve the
 telemetry/fault invariants, the foreign-decode memo, and the
 per-process artifact memo.
 """
@@ -14,10 +14,8 @@ import dataclasses
 import pytest
 
 from repro.asm import assemble
-from repro.runner.cache import key_for_spec
-from repro.runner.pool import RunSpec
 from repro.sim import blocks, superblocks
-from repro.sim.functional import ENGINES, FunctionalSimulator, SimulationError
+from repro.sim.functional import FunctionalSimulator, SimulationError
 from repro.sim.pipeline import PipelineSimulator
 
 
@@ -28,30 +26,21 @@ def _prog(src):
 LOOP_FOREVER = "li r1, 0\nloop: addiu r1, r1, 1\nj loop\n"
 
 
-# ----------------------------------------------------------------------
-# engine selection and validation
-# ----------------------------------------------------------------------
-def test_functional_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        FunctionalSimulator(_prog("halt\n"), engine="jit")
-
-
-def test_pipeline_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        PipelineSimulator(_prog("halt\n"), engine="jit")
+#: the functional simulator's two loops, reference first
+LOOPS = (FunctionalSimulator.run_reference, FunctionalSimulator.run)
 
 
 # ----------------------------------------------------------------------
-# budget and trap parity with the interpreted engine
+# budget and trap parity with the reference loop
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("budget", [1, 2, 3, 7, 50, 1001])
 def test_budget_exhaustion_bit_identical(budget):
     """Same error message, same retired count, same final pc."""
     outcomes = []
-    for engine in ("interp", "blocks"):
-        sim = FunctionalSimulator(_prog(LOOP_FOREVER), engine=engine)
+    for run in LOOPS:
+        sim = FunctionalSimulator(_prog(LOOP_FOREVER))
         with pytest.raises(SimulationError) as exc:
-            sim.run(max_instructions=budget)
+            run(sim, max_instructions=budget)
         outcomes.append((str(exc.value), sim.instructions_retired,
                          sim.pc, sim.regs.snapshot()))
     assert outcomes[0] == outcomes[1]
@@ -62,10 +51,10 @@ def test_trap_parity_misaligned_load():
 
     src = "li r1, 2\nli r2, 7\nlw r3, -3(sp)\nhalt\n"
     outcomes = []
-    for engine in ("interp", "blocks"):
-        sim = FunctionalSimulator(_prog(src), engine=engine)
+    for run in LOOPS:
+        sim = FunctionalSimulator(_prog(src))
         with pytest.raises(MisalignedAccess) as exc:
-            sim.run()
+            run(sim)
         outcomes.append((str(exc.value), sim.instructions_retired,
                          sim.pc, sim.regs.snapshot()))
     assert outcomes[0] == outcomes[1]
@@ -87,9 +76,9 @@ def test_jr_into_middle_of_block():
         "halt\n"
     )
     results = []
-    for engine in ("interp", "blocks"):
-        sim = FunctionalSimulator(_prog(src), engine=engine)
-        retired = sim.run()
+    for run in LOOPS:
+        sim = FunctionalSimulator(_prog(src))
+        retired = run(sim)
         results.append((retired, sim.regs.snapshot(), sim.pc))
     assert results[0] == results[1]
     assert results[0][1][1] == 3          # only the third addiu ran
@@ -98,29 +87,50 @@ def test_jr_into_middle_of_block():
 def test_ctl_writes_identical():
     src = "ctlw 3\nli r1, 5\nctlw 1\nhalt\n"
     a = FunctionalSimulator(_prog(src))
-    b = FunctionalSimulator(_prog(src), engine="blocks")
-    a.run()
+    b = FunctionalSimulator(_prog(src))
+    a.run_reference()
     b.run()
     assert a.ctl_writes == b.ctl_writes == [3, 1]
 
 
 # ----------------------------------------------------------------------
 # compiled-loop entry, and the fallback guards: telemetry / fault hooks
-# force the interpreted path
+# force the reference loop
 # ----------------------------------------------------------------------
-def test_functional_observer_falls_back_to_interp():
+def _forbid_translator(monkeypatch):
+    monkeypatch.setattr(blocks, "run_functional_blocks",
+                        lambda *args: pytest.fail("translator taken"))
+
+
+def test_functional_default_run_enters_translator(monkeypatch):
+    """A run with no observer and no tracer must take the block
+    translator (and nothing else)."""
+    real = blocks.run_functional_blocks
+    entered = []
+
+    def spy(sim, *args):
+        entered.append(sim)
+        return real(sim, *args)
+
+    monkeypatch.setattr(blocks, "run_functional_blocks", spy)
+    sim = FunctionalSimulator(_prog("li r1, 1\nhalt\n"))
+    assert sim.run() == 2
+    assert entered == [sim], "block translator skipped"
+
+
+def test_functional_observer_falls_back_to_interp(monkeypatch):
+    from repro.telemetry import RingBufferSink, Tracer
+    _forbid_translator(monkeypatch)
     src = "li r1, 1\nli r2, 2\naddu r3, r1, r2\nhalt\n"
     seen = []
-    sim = FunctionalSimulator(_prog(src), engine="blocks")
+    sim = FunctionalSimulator(_prog(src))
     retired = sim.run(observer=lambda pc, instr, nxt: seen.append(pc))
     assert retired == 4
     assert len(seen) == 4                 # per-instruction visibility kept
     assert sim.regs[3] == 3
-
-
-#: every way to ask for the compiled pipeline loop: both compiled names
-#: and the default (no ``engine=`` argument)
-COMPILED = [{"engine": "blocks"}, {"engine": "superblocks"}, {}]
+    sink = RingBufferSink()
+    assert FunctionalSimulator(_prog(src)).run(trace=Tracer(sink)) == 4
+    assert sink.emitted == 4              # one retire event each
 
 
 def _forbid_compiled_loop(monkeypatch):
@@ -129,31 +139,27 @@ def _forbid_compiled_loop(monkeypatch):
 
 
 def test_pipeline_default_run_enters_compiled_loop(monkeypatch):
-    """An unobserved run on either compiled name, or on the default,
-    must take the compiled loop (and nothing else)."""
+    """An unobserved run must take the compiled loop (and nothing
+    else)."""
     real = superblocks.run_pipeline_superblocks
-    for kwargs in COMPILED:
-        entered = []
+    entered = []
 
-        def spy(sim, entered=entered):
-            entered.append(sim)
-            return real(sim)
+    def spy(sim):
+        entered.append(sim)
+        return real(sim)
 
-        monkeypatch.setattr(superblocks, "run_pipeline_superblocks", spy)
-        sim = PipelineSimulator(_prog("li r1, 1\nhalt\n"), **kwargs)
-        assert sim.run().committed == 2
-        assert entered == [sim], "compiled loop skipped for %r" % kwargs
+    monkeypatch.setattr(superblocks, "run_pipeline_superblocks", spy)
+    sim = PipelineSimulator(_prog("li r1, 1\nhalt\n"))
+    assert sim.run().committed == 2
+    assert entered == [sim], "compiled loop skipped"
 
 
 def test_pipeline_trace_falls_back_to_interp(monkeypatch):
     from repro.telemetry import MetricsRegistry, Tracer
     _forbid_compiled_loop(monkeypatch)
     prog = _prog("li r1, 1\nli r2, 2\naddu r3, r1, r2\nhalt\n")
-    for kwargs in COMPILED:
-        sim = PipelineSimulator(prog, trace=Tracer(MetricsRegistry()),
-                                **kwargs)
-        stats = sim.run()
-        assert stats.committed == 4, kwargs
+    sim = PipelineSimulator(prog, trace=Tracer(MetricsRegistry()))
+    assert sim.run().committed == 4
 
 
 def test_pipeline_tick_rebinding_falls_back(monkeypatch):
@@ -161,19 +167,17 @@ def test_pipeline_tick_rebinding_falls_back(monkeypatch):
     instance must win: the compiled loop would bypass the rebound
     method."""
     _forbid_compiled_loop(monkeypatch)
-    prog = _prog("li r1, 1\nhalt\n")
-    for kwargs in COMPILED:
-        sim = PipelineSimulator(prog, **kwargs)
-        ticks = []
-        orig = type(sim).tick
+    sim = PipelineSimulator(_prog("li r1, 1\nhalt\n"))
+    ticks = []
+    orig = type(sim).tick
 
-        def spy_tick(sim=sim, ticks=ticks):
-            ticks.append(1)
-            return orig(sim)
+    def spy_tick():
+        ticks.append(1)
+        return orig(sim)
 
-        sim.tick = spy_tick
-        sim.run()
-        assert ticks, "instance tick() was bypassed for %r" % kwargs
+    sim.tick = spy_tick
+    sim.run()
+    assert ticks, "instance tick() was bypassed"
 
 
 def test_pipeline_subclass_falls_back(monkeypatch):
@@ -182,10 +186,7 @@ def test_pipeline_subclass_falls_back(monkeypatch):
     class Sub(PipelineSimulator):
         pass
 
-    for kwargs in COMPILED:
-        sim = Sub(_prog("li r1, 1\nhalt\n"), **kwargs)
-        stats = sim.run()
-        assert stats.committed == 2, kwargs
+    assert Sub(_prog("li r1, 1\nhalt\n")).run().committed == 2
 
 
 # ----------------------------------------------------------------------
@@ -245,16 +246,6 @@ def test_program_mutation_invalidates_memo():
     assert a is not b
 
 
-# ----------------------------------------------------------------------
-# result-cache key: engine deliberately excluded
-# ----------------------------------------------------------------------
-def test_engine_not_part_of_result_cache_key():
-    default = key_for_spec(RunSpec("adpcm_enc", 96, 11, "not-taken"))
-    for engine in ENGINES:
-        spec = RunSpec("adpcm_enc", 96, 11, "not-taken", engine=engine)
-        assert key_for_spec(spec) == default, engine
-
-
 def test_generated_source_is_deterministic():
     src = "li r1, 3\nloop: addiu r1, r1, -1\nbne r1, r0, loop\nhalt\n"
     assert (blocks.generate_source(_prog(src))
@@ -262,14 +253,14 @@ def test_generated_source_is_deterministic():
 
 
 def test_pipeline_stats_match_with_engine_stats_identity():
-    """End-to-end: cache stats objects also agree across engines."""
+    """End-to-end: cache stats objects also agree across loops."""
     src = ("li r1, 40\nli r2, 0\n"
            "loop: addiu r2, r2, 3\nsw r2, -8(sp)\nlw r3, -8(sp)\n"
            "addiu r1, r1, -1\nbne r1, r0, loop\nhalt\n")
     prog = _prog(src)
-    a = PipelineSimulator(_prog(src), engine="interp")
+    a = PipelineSimulator(_prog(src))
     b = PipelineSimulator(prog)
-    sa, sb = a.run(), b.run()
+    sa, sb = a.run_reference(), b.run()
     assert dataclasses.asdict(sa) == dataclasses.asdict(sb)
     assert a.icache.stats == b.icache.stats
     assert a.dcache.stats == b.dcache.stats

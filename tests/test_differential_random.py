@@ -1,18 +1,20 @@
 """Large-scale differential fuzzing: pipeline vs. functional simulator.
 
 This is the safety net under the decoded-dispatch fast path *and* the
-block-compiled engine: for ~200 seeded random programs (generated by
+compiled loops: for ~200 seeded random programs (generated by
 :mod:`repro.testing`, the same construction the existing equivalence
 suite uses), the cycle-accurate pipeline must end with *exactly* the
 architectural state of the functional golden model — registers, memory,
 and the retired-instruction ledger — with unconditional folding both off
-and on.  Every case also runs under a compiled engine, which must be
-bit-identical to the interpreted one: same architectural state for the
-functional simulator, same full ``PipelineStats`` for the pipeline.
-``"blocks"`` and ``"superblocks"`` name one compiled engine per
-simulator, so the nightly sweeps run ``interp`` plus one compiled name
-(``"blocks"`` where the functional translator is under test); the
-tier-1 subsets still run both names, which checks the aliases too.
+and on.  The golden side always runs each simulator's reference loop
+(``run_reference``).  Every case runs once on the reference loops and
+once on the compiled loops an unobserved ``run()`` takes (the block
+translator, the superblocks pipeline loop), which must be bit-identical
+to the reference: same architectural state for the functional
+simulator, same full ``PipelineStats`` for the pipeline.  The
+parametrization IDs keep the names the loops were once selected by:
+``interp`` is the reference, ``blocks`` and ``superblocks`` the
+compiled loop.
 
 Since PR 8 the sweep is 3-way: the out-of-order backend
 (:mod:`repro.sim.ooo`) must commit *the exact program-order pc stream*
@@ -43,8 +45,11 @@ ALL_SEEDS = list(range(200))
 #: quick subset that stays in tier-1
 FAST_SEEDS = ALL_SEEDS[:12]
 
-#: interpreted-engine reference state, computed once per (seed, fold)
-#: and shared by every engine parametrization
+#: the loop parametrization: the reference loops, then the compiled ones
+LOOPS = [True, False]
+
+#: reference-loop state, computed once per (seed, fold) and shared by
+#: both loop parametrizations
 _REFERENCE = {}
 
 
@@ -53,30 +58,29 @@ def _reference(seed, fold_unconditional):
     if key not in _REFERENCE:
         prog = random_program(seed, units=14)
         fsim = FunctionalSimulator(prog)
-        retired = fsim.run(max_instructions=200_000)
+        retired = fsim.run_reference(max_instructions=200_000)
         psim = PipelineSimulator(prog,
-                                 fold_unconditional=fold_unconditional,
-                                 engine="interp")
-        pstats = dataclasses.asdict(psim.run())
+                                 fold_unconditional=fold_unconditional)
+        pstats = dataclasses.asdict(psim.run_reference())
         _REFERENCE[key] = (fsim.regs.snapshot(), fsim.memory.snapshot(),
                            retired, pstats)
     return _REFERENCE[key]
 
 
-def _check_one(seed, fold_unconditional, engine):
+def _check_one(seed, fold_unconditional, reference):
     regs, mem, retired, pstats = _reference(seed, fold_unconditional)
     prog = random_program(seed, units=14)
 
-    fsim = FunctionalSimulator(prog, engine=engine)
-    fret = fsim.run(max_instructions=200_000)
+    fsim = FunctionalSimulator(prog)
+    frun = fsim.run_reference if reference else fsim.run
+    fret = frun(max_instructions=200_000)
     assert fsim.regs.snapshot() == regs, "register state diverged"
     assert fsim.memory.snapshot() == mem, "memory state diverged"
     assert fret == retired, "retired-instruction count diverged"
 
-    sim = PipelineSimulator(prog, fold_unconditional=fold_unconditional,
-                            engine=engine)
-    stats = sim.run()
-    # timing must be bit-identical across engines, architectural state
+    sim = PipelineSimulator(prog, fold_unconditional=fold_unconditional)
+    stats = sim.run_reference() if reference else sim.run()
+    # timing must be bit-identical across loops, architectural state
     # identical to the golden model
     assert dataclasses.asdict(stats) == pstats, "pipeline stats diverged"
     assert sim.regs.snapshot() == regs, "register state diverged"
@@ -91,63 +95,55 @@ def _check_one(seed, fold_unconditional, engine):
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)
 @pytest.mark.parametrize("fold", [False, True], ids=["nofold", "fold"])
-@pytest.mark.parametrize("engine", ["interp", "blocks", "superblocks"])
-def test_differential_fast_subset(seed, fold, engine):
-    _check_one(seed, fold, engine)
+@pytest.mark.parametrize("reference", LOOPS, ids=["interp", "blocks"])
+def test_differential_fast_subset(seed, fold, reference):
+    _check_one(seed, fold, reference)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", ALL_SEEDS[len(FAST_SEEDS):])
 @pytest.mark.parametrize("fold", [False, True], ids=["nofold", "fold"])
-@pytest.mark.parametrize("engine", ["interp", "blocks"])
-def test_differential_full_sweep(seed, fold, engine):
-    _check_one(seed, fold, engine)
+@pytest.mark.parametrize("reference", LOOPS, ids=["interp", "blocks"])
+def test_differential_full_sweep(seed, fold, reference):
+    _check_one(seed, fold, reference)
 
 
 # ----------------------------------------------------------------------
-# ASBR-attached pipeline: the compiled fold check vs the interpreter
+# ASBR-attached pipeline: the compiled fold check vs the reference loop
 # ----------------------------------------------------------------------
 
-#: interpreted-engine reference per (seed, bdt_update), shared by the
-#: compiled-engine parametrizations
-_ASBR_REF = {}
-
-
-def _check_asbr_engines(seed, update, engine):
-    """With a populated BIT/BDT the compiled engines must reproduce the
-    interpreted pipeline's full stats bit-for-bit.  This drives the
+def _check_asbr_engines(seed, update):
+    """With a populated BIT/BDT the compiled loop must reproduce the
+    reference pipeline's full stats bit-for-bit.  This drives the
     superblock fold check, the inlined BDT transitions and the fold
     transfer chains against random programs rather than codecs, across
     every BDT update point."""
-    key = (seed, update)
-    if key not in _ASBR_REF:
-        prog = random_program(seed, units=14)
-        ref = PipelineSimulator(prog, asbr=_asbr_for(prog, update),
-                                engine="interp")
-        _ASBR_REF[key] = (dataclasses.asdict(ref.run()),
-                          ref.regs.snapshot(), ref.memory.snapshot())
-    pstats, regs, mem = _ASBR_REF[key]
     prog = random_program(seed, units=14)
-    sim = PipelineSimulator(prog, asbr=_asbr_for(prog, update),
-                            engine=engine)
+    ref = PipelineSimulator(prog, asbr=_asbr_for(prog, update))
+    pstats = dataclasses.asdict(ref.run_reference())
+    sim = PipelineSimulator(prog, asbr=_asbr_for(prog, update))
     stats = sim.run()
     assert dataclasses.asdict(stats) == pstats, "pipeline stats diverged"
-    assert sim.regs.snapshot() == regs, "register state diverged"
-    assert sim.memory.snapshot() == mem, "memory state diverged"
+    assert sim.regs.snapshot() == ref.regs.snapshot(), \
+        "register state diverged"
+    assert sim.memory.snapshot() == ref.memory.snapshot(), \
+        "memory state diverged"
 
 
+# one loop pair per case; the ``superblocks`` ID is the compiled loop's
+# old selection name, kept so the tier-1 IDs stay stable
 @pytest.mark.parametrize("seed", FAST_SEEDS[:6])
 @pytest.mark.parametrize("update", ["execute", "commit"])
-@pytest.mark.parametrize("engine", ["blocks", "superblocks"])
-def test_differential_asbr_engines_fast_subset(seed, update, engine):
-    _check_asbr_engines(seed, update, engine)
+@pytest.mark.parametrize("loop", ["superblocks"])
+def test_differential_asbr_engines_fast_subset(seed, update, loop):
+    _check_asbr_engines(seed, update)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", ALL_SEEDS[len(FAST_SEEDS):])
 @pytest.mark.parametrize("update", ["execute", "commit", "mem"])
 def test_differential_asbr_engines_full_sweep(seed, update):
-    _check_asbr_engines(seed, update, "superblocks")
+    _check_asbr_engines(seed, update)
 
 
 # ----------------------------------------------------------------------
@@ -200,8 +196,9 @@ def _pc_stream(seed):
         prog = random_program(seed, units=14)
         fsim = FunctionalSimulator(prog)
         pcs = []
-        fsim.run(max_instructions=200_000,
-                 observer=lambda pc, instr, next_pc: pcs.append(pc))
+        fsim.run_reference(max_instructions=200_000,
+                           observer=lambda pc, instr, next_pc:
+                           pcs.append(pc))
         _PC_STREAM[seed] = pcs
     return _PC_STREAM[seed]
 

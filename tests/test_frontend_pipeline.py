@@ -3,7 +3,7 @@
 Four claims, each load-bearing:
 
 * **default-off bit-identity** — a ``frontend=None`` run reproduces the
-  seed golden stats exactly, on both engines (the frontend is a pure
+  seed golden stats exactly, on both loops (the frontend is a pure
   opt-in; attaching the machinery must cost nothing when absent);
 * **architectural correctness** — with the frontend attached (FDIP on
   and off), every workload still produces its golden output, and the
@@ -13,7 +13,8 @@ Four claims, each load-bearing:
   fetch-directed prefetching removes a concrete fraction of demand
   misses (threshold asserted, not just "fewer");
 * **observability parity** — a traced frontend run is timing-identical
-  to the untraced one, and the compiled engine falls back safely.
+  to the untraced one, and ``run()`` never enters the compiled loop
+  with a front end attached.
 """
 
 import dataclasses
@@ -38,25 +39,28 @@ def pcm():
 
 
 def _run(pcm, name, frontend=None, config=None, predictor_spec=BIMODAL,
-         engine="interp", trace=None):
+         reference=True, trace=None):
+    """One run on the reference loop, or on ``run()`` when
+    ``reference`` is False; returns the stats and the simulator."""
     wl = get_workload(name)
-    holder = {}
-    result = wl.run_pipeline(pcm, predictor=make_predictor(predictor_spec),
-                             frontend=frontend, config=config,
-                             engine=engine, trace=trace,
-                             on_sim=lambda s: holder.setdefault("sim", s))
-    assert result.outputs == wl.golden_output(pcm), \
+    memory, count = wl.memory_image(pcm)
+    sim = PipelineSimulator(wl.program, memory,
+                            predictor=make_predictor(predictor_spec),
+                            frontend=frontend, config=config, trace=trace)
+    stats = sim.run_reference() if reference else sim.run()
+    assert wl.read_output(sim.memory, count) == wl.golden_output(pcm), \
         "%s wrong output (frontend=%r)" % (name, frontend)
-    return result.stats, holder["sim"]
+    return stats, sim
 
 
 # ----------------------------------------------------------------------
 # default-off bit-identity (the golden lock, frontend edition)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["interp", "blocks"])
-def test_frontend_none_bit_identical_to_seed(pcm, engine):
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["interp", "blocks"])
+def test_frontend_none_bit_identical_to_seed(pcm, reference):
     key = ("adpcm_enc", BIMODAL, False)
-    stats, sim = _run(pcm, "adpcm_enc", frontend=None, engine=engine)
+    stats, sim = _run(pcm, "adpcm_enc", frontend=None, reference=reference)
     assert sim.frontend is None
     assert dataclasses.asdict(stats) == GOLDEN[key]
 
@@ -124,7 +128,7 @@ def test_fdip_reduces_icache_demand_misses(pcm):
 
 
 # ----------------------------------------------------------------------
-# observability and engine parity
+# observability and loop parity
 # ----------------------------------------------------------------------
 def test_traced_frontend_run_is_timing_identical(pcm):
     from repro.telemetry import MetricsRegistry, Tracer
@@ -144,18 +148,16 @@ def test_traced_frontend_run_is_timing_identical(pcm):
 
 
 def test_blocks_engine_falls_back_with_frontend(pcm, monkeypatch):
-    """A frontend-attached run never enters the compiled loop, whichever
-    compiled name asked for it."""
+    """A frontend-attached ``run()`` never enters the compiled loop: it
+    takes the reference loop."""
     from repro.sim import superblocks
 
-    interp, _ = _run(pcm, "adpcm_enc", frontend=FrontendConfig())
+    ref, _ = _run(pcm, "adpcm_enc", frontend=FrontendConfig())
     monkeypatch.setattr(superblocks, "run_pipeline_superblocks",
                         lambda sim: pytest.fail("compiled loop taken"))
-    for engine in ("blocks", "superblocks"):
-        stats, _ = _run(pcm, "adpcm_enc", frontend=FrontendConfig(),
-                        engine=engine)
-        assert dataclasses.asdict(stats) == dataclasses.asdict(interp), \
-            engine
+    stats, _ = _run(pcm, "adpcm_enc", frontend=FrontendConfig(),
+                    reference=False)
+    assert dataclasses.asdict(stats) == dataclasses.asdict(ref)
 
 
 # ----------------------------------------------------------------------

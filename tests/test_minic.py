@@ -336,7 +336,7 @@ class TestPipelineIntegration:
         """
         prog = compile_to_program(src)
         f = FunctionalSimulator(prog)
-        n = f.run()
+        n = f.run_reference()
         sim = PipelineSimulator(prog,
                                 predictor=make_predictor("bimodal-64-64"))
         stats = sim.run()

@@ -111,7 +111,7 @@ def test_random_expression_on_pipeline_matches_functional(seed):
     text, value = _gen_expr(rng, 5)
     prog = compile_to_program("int main() { return %s; }" % text)
     f = FunctionalSimulator(prog)
-    f.run(max_instructions=1_000_000)
+    f.run_reference(max_instructions=1_000_000)
     from repro.sim.pipeline import PipelineSimulator
     p = PipelineSimulator(prog)
     p.run()

@@ -130,7 +130,7 @@ class TestCommitLog:
 
         prog = random_program(11, units=14)
         pcs = []
-        FunctionalSimulator(prog).run(
+        FunctionalSimulator(prog).run_reference(
             max_instructions=200_000,
             observer=lambda pc, instr, next_pc: pcs.append(pc))
         log = []

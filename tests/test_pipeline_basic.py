@@ -195,7 +195,7 @@ class TestHaltSemantics:
 class TestArchitecturalEquivalence:
     def test_matches_functional(self, fold_demo_program):
         f = FunctionalSimulator(fold_demo_program)
-        n = f.run()
+        n = f.run_reference()
         p = PipelineSimulator(fold_demo_program,
                               predictor=BimodalPredictor(64, 64))
         stats = p.run()

@@ -22,7 +22,7 @@ PREDICTORS = ["not-taken", "always-taken", "bimodal-64-64",
 
 def functional_result(prog):
     sim = FunctionalSimulator(prog)
-    n = sim.run(max_instructions=100_000)
+    n = sim.run_reference(max_instructions=100_000)
     return sim, n
 
 

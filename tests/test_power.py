@@ -10,6 +10,7 @@ from repro.power import (EnergyParams, EnergyReport, compare_energy,
                          estimate_energy_from_stats)
 from repro.power.model import _access_energy
 from repro.predictors import BimodalPredictor, NotTakenPredictor
+from repro.sim.ooo import OoOSimulator
 from repro.sim.pipeline import PipelineSimulator
 
 
@@ -163,10 +164,12 @@ ORACLE_N, ORACLE_SEED = 96, 5
 CODECS = ("adpcm_enc", "adpcm_dec", "g721_enc", "g721_dec", "huffman_dec")
 
 
-def _live(name, predictor_spec, with_asbr=False, engine="interp",
+def _live(name, predictor_spec, with_asbr=False, reference=True,
           n=ORACLE_N, select_update="execute", bdt_update="execute",
           ooo=None, frontend=None):
-    """Run one workload and return the live simulator after ``run()``."""
+    """Run one workload and return the live simulator after its run:
+    the in-order machine's reference loop, or ``run()`` when
+    ``reference`` is False."""
     from repro.predictors import make_predictor
     from repro.profiling import profile_and_select
     from repro.workloads import get_workload, speech_like
@@ -178,15 +181,18 @@ def _live(name, predictor_spec, with_asbr=False, engine="interp",
         sel = profile_and_select(wl.program, wl.memory_image(pcm)[0],
                                  bdt_update=select_update).selection
         asbr = ASBRUnit.from_branch_infos(sel.infos, bdt_update=bdt_update)
-    sims = []
     kw = dict(predictor=make_predictor(predictor_spec), asbr=asbr,
-              on_sim=sims.append, frontend=frontend)
+              frontend=frontend)
+    memory, count = wl.memory_image(pcm)
     if ooo is not None:
-        result = wl.run_ooo(pcm, config=ooo, **kw)
+        sim = OoOSimulator(wl.program, memory, config=ooo, **kw)
+        run = sim.run
     else:
-        result = wl.run_pipeline(pcm, engine=engine, **kw)
-    assert result.outputs == wl.golden_output(pcm)
-    return sims[0]
+        sim = PipelineSimulator(wl.program, memory, **kw)
+        run = sim.run_reference if reference else sim.run
+    run()
+    assert wl.read_output(sim.memory, count) == wl.golden_output(pcm)
+    return sim
 
 
 def _assert_oracle(sim):
@@ -195,13 +201,14 @@ def _assert_oracle(sim):
     assert exact.total == oracle.total
 
 
-@pytest.mark.parametrize("engine", ["interp", "superblocks"])
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["interp", "superblocks"])
 @pytest.mark.parametrize("core", [("bimodal-2048", False),
                                   ("bimodal-512-512", True)],
                          ids=["baseline", "asbr"])
 @pytest.mark.parametrize("codec", CODECS)
-def test_stats_estimator_equals_live_oracle(codec, core, engine):
-    _assert_oracle(_live(codec, *core, engine=engine))
+def test_stats_estimator_equals_live_oracle(codec, core, reference):
+    _assert_oracle(_live(codec, *core, reference=reference))
 
 
 def test_oracle_ooo_two_wide():

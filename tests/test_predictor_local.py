@@ -80,7 +80,7 @@ class TestLocal:
         from repro.sim.functional import FunctionalSimulator
         from repro.sim.pipeline import PipelineSimulator
         f = FunctionalSimulator(count_loop_program)
-        f.run()
+        f.run_reference()
         sim = PipelineSimulator(count_loop_program,
                                 predictor=LocalHistoryPredictor())
         sim.run()

@@ -262,7 +262,7 @@ def test_mid_block_alignment_trap():
         sim = FunctionalSimulator(_prog(src))
         with pytest.raises(MisalignedAccess) as exc:
             if run == "interp":
-                sim.run()
+                sim.run_reference()
             else:
                 blocks.profile_pass(sim, 1000)
         outcomes.append((str(exc.value), sim.pc, sim.instructions_retired))
@@ -294,14 +294,18 @@ def _garbage_after(fn) -> int:
         gc.enable()
 
 
-@pytest.mark.parametrize("engine", ["interp", "blocks"])
-def test_functional_run_leaves_no_cycles(engine):
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["interp", "blocks"])
+def test_functional_run_leaves_no_cycles(reference):
     wl = get_workload("adpcm_enc")
     stream = wl.input_stream(speech_like(50, 3))
 
     def run():
-        FunctionalSimulator(wl.program, wl.build_memory(stream),
-                            engine=engine).run()
+        sim = FunctionalSimulator(wl.program, wl.build_memory(stream))
+        if reference:
+            sim.run_reference()
+        else:
+            sim.run()
 
     assert _garbage_after(run) == 0
 

@@ -20,7 +20,7 @@ import os
 
 from repro.runner import FailedResult, RunSpec, run_sweep
 from repro.serve import Job, JobStore, ServeConfig, spec_key, spec_to_wire
-from repro.sim import ENGINES
+from repro.serve.protocol import RETIRED_ENGINES
 from repro.telemetry import RingBufferSink
 from repro.telemetry.events import SERVE_RECOVER
 from repro.wal import load_jsonl
@@ -153,8 +153,8 @@ def test_torn_wal_tail_dropped_and_repaired(tmp_path):
     store.close()
 
 
-#: a job WAL's meta record exactly as the previous release wrote it,
-#: when ``RunSpec.engine`` defaulted to ``"interp"``
+#: a job WAL's meta record exactly as an earlier release wrote it, when
+#: every spec carried an ``engine`` field that defaulted to ``"interp"``
 PARENT_ERA_META = (
     '{"collect_metrics": false, "deadline_at": null, "job": "job-000001",'
     ' "job_kind": "sweep", "kind": "meta", "meta": {}, "specs": '
@@ -170,24 +170,23 @@ PARENT_ERA_META = (
 
 def test_replay_decodes_every_engine_name():
     """Replay drops a job whose specs fail the strict wire decode, so
-    every engine name a WAL may carry must still decode — each accepted
-    name, and the ``"interp"`` default of a parent-era record — and all
-    of them onto the key of a spec that names no engine."""
+    every engine name a WAL may carry must still decode — each retired
+    name, and the ``"interp"`` default of an earlier record — and all
+    of them onto the spec, and so the key, of a spec that names no
+    engine."""
     key = spec_key(make_spec())
     meta = Job("job-000002", "sweep", [make_spec()]).wal_meta()
     meta["specs"] = [dict(spec_to_wire(make_spec()), engine=engine)
-                     for engine in ENGINES]
+                     for engine in RETIRED_ENGINES]
     job = Job.replay([meta])
     assert job is not None
-    assert [spec.engine for spec in job.specs] == list(ENGINES)
+    assert job.specs == [make_spec()] * len(RETIRED_ENGINES)
     assert {spec_key(spec) for spec in job.specs} == {key}
 
     parent = Job.replay([json.loads(PARENT_ERA_META)])
     assert parent is not None and parent.id == "job-000001"
     (spec,) = parent.specs
-    assert spec.engine == "interp"
-    assert spec == RunSpec("adpcm_enc", 64, 11, "not-taken",
-                           engine="interp")
+    assert spec == RunSpec("adpcm_enc", 64, 11, "not-taken")
     assert spec_key(spec) == key
 
 

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.serve import ServeConfig
-from repro.sim import ENGINES
+from repro.serve.protocol import RETIRED_ENGINES
 
 from tests.serve_utils import ServerThread, blast, http_payload, spec_wire
 
@@ -152,15 +152,15 @@ class TestCoalescing:
             client.close()
 
     def test_engine_variants_coalesce_onto_one_key(self, tmp_path):
-        """Every accepted engine name, and a body naming none, shares
-        one key (PR 5 invariant), so only the first request executes."""
+        """Every retired engine name, and a body naming none, shares
+        one key, so only the first request executes."""
         config = ServeConfig(cache_dir=str(tmp_path / "cache"),
                              shards=256, workers=0)
         with ServerThread(config) as st:
             client = st.client()
             first = client.run(spec_wire())
             assert first["source"] == "executed"
-            for engine in ENGINES:
+            for engine in RETIRED_ENGINES:
                 again = client.run(spec_wire(engine=engine))
                 assert again["key"] == first["key"], engine
                 assert again["source"] == "memory", engine

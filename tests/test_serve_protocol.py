@@ -9,8 +9,10 @@ The serve API's whole correctness story hangs on one invariant chain:
   one execution and one cache entry);
 * a decode → encode → decode round trip through *serialised* JSON must
   be the identity (so resubmitting a job record reuses the cache);
-* the execution engine must never enter the key (the PR 5 bit-identity
-  invariant, now locked at the API boundary).
+* the retired ``engine`` field must never enter the key: a body naming
+  any of its old values decodes to the spec of a body naming none, so
+  request bodies and job WALs from before its retirement still address
+  the same cache entries.
 """
 
 import json
@@ -27,7 +29,7 @@ from repro.serve import (
     spec_key,
     spec_to_wire,
 )
-from repro.sim import ENGINES
+from repro.serve.protocol import RETIRED_ENGINES
 
 # small input sizes keep the (memoised) input digests cheap; two real
 # benchmarks exercise distinct program digests
@@ -47,7 +49,7 @@ wire_bodies = st.fixed_dictionaries(
         "min_fold_fraction": st.floats(min_value=0.0, max_value=1.0,
                                        allow_nan=False),
         "min_count": st.integers(min_value=0, max_value=256),
-        "engine": st.sampled_from(ENGINES),
+        "engine": st.sampled_from(RETIRED_ENGINES),
         "frontend": st.booleans(),
         "btb_l1_entries": st.sampled_from([16, 64, 256]),
         "btb_l2_entries": st.sampled_from([512, 2048]),
@@ -80,21 +82,27 @@ def test_equal_specs_share_key_and_shard(body):
         assert shard_path(spec, shards) == shard_path(again, shards)
 
 
-@given(body=wire_bodies, engine_a=st.sampled_from(ENGINES),
-       engine_b=st.sampled_from(ENGINES))
+@given(body=wire_bodies)
 @SETTINGS
-def test_engine_never_enters_key_or_shard(body, engine_a, engine_b):
-    a = spec_from_wire(dict(body, engine=engine_a))
-    b = spec_from_wire(dict(body, engine=engine_b))
-    assert spec_key(a) == spec_key(b)
-    assert shard_path(a, 256) == shard_path(b, 256)
+def test_engine_never_enters_key_or_shard(body):
+    """Each retired engine name, and no name, decode to one spec, one
+    key and one shard."""
+    body = {k: v for k, v in body.items() if k != "engine"}
+    base = spec_from_wire(body)
+    assert "engine" not in spec_to_wire(base)
+    for name in RETIRED_ENGINES:
+        spec = spec_from_wire(dict(body, engine=name))
+        assert spec == base
+        assert spec_key(spec) == spec_key(base)
+        assert shard_path(spec, 256) == shard_path(base, 256)
 
 
 @given(body=wire_bodies)
 @SETTINGS
 def test_frontend_knobs_enter_the_key(body):
-    """Unlike the engine, every decoupled-frontend knob is part of the
-    run's identity: flipping one must change the coalescing key."""
+    """Unlike the retired engine, every decoupled-frontend knob is part
+    of the run's identity: flipping one must change the coalescing
+    key."""
     pinned = dict(body, frontend=True, fdip=False,
                   btb_l1_entries=64, ftq_depth=8)
     base = spec_from_wire(pinned)

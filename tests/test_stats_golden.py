@@ -4,10 +4,11 @@ These numbers were produced by the original (pre-fast-path) simulator
 and must never drift: any change to ``PipelineSimulator`` that alters a
 single cycle, fetch, squash or stall count on these small inputs is a
 timing-model change, not an optimisation, and must be reviewed as such.
-Every lock runs under the interpreted engine and under the compiled
-loop, by both of its names (``"superblocks"``, the default, and its
-alias ``"blocks"``), which must reproduce the interpreted numbers
-bit-for-bit.
+Every lock runs on the reference ``tick()`` loop
+(``PipelineSimulator.run_reference``) and on the compiled loop that an
+unobserved ``run()`` takes, which must reproduce the reference numbers
+bit-for-bit.  The parametrization IDs keep the names the two loops
+were once selected by (``interp`` and ``superblocks``).
 
 The inputs are deliberately small (96 PCM samples) so the whole module
 stays in tier-1.
@@ -20,6 +21,7 @@ import pytest
 from repro.asbr import ASBRUnit
 from repro.predictors import make_predictor
 from repro.profiling import BranchProfiler, select_branches
+from repro.sim.pipeline import PipelineSimulator
 from repro.workloads import get_workload
 from repro.workloads.inputs import speech_like
 
@@ -126,7 +128,7 @@ def pcm():
     return speech_like(PCM_N, seed=PCM_SEED)
 
 
-def _run(pcm, name, pred_spec, with_asbr, engine="interp"):
+def _run(pcm, name, pred_spec, with_asbr, reference=True):
     wl = get_workload(name)
     asbr = None
     if with_asbr:
@@ -137,18 +139,21 @@ def _run(pcm, name, pred_spec, with_asbr, engine="interp"):
         sel = select_branches(profile, bit_capacity=16, bdt_update="execute")
         asbr = ASBRUnit.from_branch_infos(sel.infos, capacity=16,
                                           bdt_update="execute")
-    result = wl.run_pipeline(pcm, predictor=make_predictor(pred_spec),
-                             asbr=asbr, engine=engine)
-    assert result.outputs == wl.golden_output(pcm)
-    return result.stats
+    memory, count = wl.memory_image(pcm)
+    sim = PipelineSimulator(wl.program, memory,
+                            predictor=make_predictor(pred_spec), asbr=asbr)
+    stats = sim.run_reference() if reference else sim.run()
+    assert wl.read_output(sim.memory, count) == wl.golden_output(pcm)
+    return stats
 
 
-@pytest.mark.parametrize("engine", ["interp", "blocks", "superblocks"])
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["interp", "superblocks"])
 @pytest.mark.parametrize("key", sorted(GOLDEN),
                          ids=lambda k: "%s-%s-asbr%d" % (k[0], k[1], k[2]))
-def test_stats_bit_identical_to_seed(pcm, key, engine):
+def test_stats_bit_identical_to_seed(pcm, key, reference):
     name, pred_spec, with_asbr = key
-    stats = _run(pcm, name, pred_spec, with_asbr, engine=engine)
+    stats = _run(pcm, name, pred_spec, with_asbr, reference=reference)
     assert dataclasses.asdict(stats) == GOLDEN[key]
 
 

@@ -65,7 +65,7 @@ class TestJumpFolding:
                "b dec\nnop\ndec: addi r4, r4, -1\nbnez r4, loop\nhalt\n")
         prog = assemble(".text\nmain:\n" + src)
         f = FunctionalSimulator(prog)
-        n = f.run()
+        n = f.run_reference()
         sim = PipelineSimulator(prog, config=perfect_caches(),
                                 fold_unconditional=True)
         stats = sim.run()
@@ -77,7 +77,7 @@ class TestJumpFolding:
     def test_random_programs_equivalent(self, seed):
         prog = random_program(seed)
         f = FunctionalSimulator(prog)
-        n = f.run(max_instructions=100_000)
+        n = f.run_reference(max_instructions=100_000)
         sim = PipelineSimulator(prog,
                                 predictor=make_predictor("bimodal-64-64"),
                                 fold_unconditional=True)
@@ -92,7 +92,7 @@ class TestCombinedWithASBR:
         from repro.asbr import ASBRUnit, extract_branch_info
         prog = fold_demo_program
         f = FunctionalSimulator(prog)
-        n = f.run()
+        n = f.run_reference()
         info = extract_branch_info(prog, prog.labels["br1"])
         unit = ASBRUnit.from_branch_infos([info], bdt_update="execute")
         sim = PipelineSimulator(prog, predictor=NotTakenPredictor(),
