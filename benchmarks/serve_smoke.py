@@ -7,7 +7,8 @@ port), then walks the contract the service makes:
 2. a pool worker SIGKILLed mid-sweep degrades to a ``failed`` job
    record — the daemon keeps serving and the kill is visible in the
    failed-job count;
-3. ``POST /shutdown`` exits cleanly: status 0 and **zero tracebacks**
+3. a body with a misspelt key is a 400 that names the key;
+4. ``POST /shutdown`` exits cleanly: status 0 and **zero tracebacks**
    anywhere in the daemon log.
 
 Run as a plain script::
@@ -98,7 +99,15 @@ def main() -> int:
         stats = client.stats()
         assert stats["jobs"]["failed"] >= 1, stats
 
-        # 3. clean shutdown: exit 0, no tracebacks in the log
+        # 3. strict bodies: a misspelt /dse key is a 400 naming it,
+        #    not a run of the whole paper space
+        status, body = client.request("POST", "/dse", {"n_point": 1},
+                                      retry=False)
+        assert status == 400 and body["error"].startswith("n_point: "), \
+            (status, body)
+        print("smoke: /dse {\"n_point\": 1} -> 400 %s" % body["error"])
+
+        # 4. clean shutdown: exit 0, no tracebacks in the log
         client.shutdown()
         code = daemon.wait(timeout=30)
         assert code == 0, "daemon exited %r" % code

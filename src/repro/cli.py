@@ -339,7 +339,11 @@ def cmd_dse_run(args) -> int:
     from repro.dse import Evaluator, Journal, get_space, make_search
     from repro.runner import ResultCache
 
-    space = get_space(args.space)
+    try:
+        space = get_space(args.space)
+    except ValueError as exc:
+        print("--space: %s" % exc, file=sys.stderr)
+        return 2
     journal_path = args.journal or os.path.join(
         "results", "dse", "%s-n%d-s%d.jsonl"
         % (args.benchmark, args.samples, args.seed))

@@ -19,31 +19,23 @@ pins a journal to the space it was produced from.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass, fields
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.asbr.folding import THRESHOLD_BY_UPDATE
-from repro.runner.pool import RunSpec
+from repro.runner.pool import (BACKENDS, BDT_UPDATES, RunSpec,
+                               check_choices, config_from)
+from repro.schema import SchemaError, decode
 
-BDT_UPDATES: Tuple[str, ...] = ("commit", "mem", "execute")
-
-#: Canonical ASBR-knob values carried by non-ASBR points.
-_NO_ASBR = {"bit_capacity": 16, "bdt_update": "execute",
-            "min_fold_fraction": 0.5, "min_count": 16}
-
-#: Canonical frontend-knob values carried by points without the
-#: decoupled front end (same dedup rule as :data:`_NO_ASBR`).
-_NO_FRONTEND = {"btb_l1_entries": 64, "btb_l2_entries": 2048,
-                "btb_l2_assoc": 4, "ftq_depth": 8, "fdip": False}
-
-BACKENDS: Tuple[str, ...] = ("inorder", "ooo")
-
-#: Canonical out-of-order machine knobs carried by in-order points
-#: (same dedup rule as :data:`_NO_ASBR` / :data:`_NO_FRONTEND`).
-_NO_OOO = {"issue_width": 2, "rob_size": 32, "iq_size": 16,
-           "phys_regs": 64}
+#: the knobs meaningless without the ASBR unit.  Like the fields a
+#: point shares with FrontendConfig or OoOConfig when that part is off,
+#: they are reset to their defaults: one configuration is one point,
+#: one journal key and one cache entry.
+_ASBR_KNOBS = ("bit_capacity", "bdt_update", "min_fold_fraction",
+               "min_count")
 
 
 @dataclass(frozen=True)
@@ -69,45 +61,28 @@ class DesignPoint:
     phys_regs: int = 64
 
     def __post_init__(self) -> None:
-        if self.bdt_update not in BDT_UPDATES:
-            raise ValueError("unknown bdt_update %r (have %s)"
-                             % (self.bdt_update, ", ".join(BDT_UPDATES)))
+        # machine-shape validation lives with each machine; importing
+        # them lazily keeps repro.dse importable on its own
+        from repro.frontend import FrontendConfig
+        from repro.sim.ooo import OoOConfig
+
+        check_choices(self)
         if self.bit_capacity <= 0:
             raise ValueError("bit_capacity must be positive")
         if not 0.0 <= self.min_fold_fraction <= 1.0:
             raise ValueError("min_fold_fraction must be in [0, 1]")
         if self.min_count < 0:
             raise ValueError("min_count must be >= 0")
-        if not self.with_asbr:
-            # canonicalise: ASBR knobs are meaningless without the unit
-            for name, value in _NO_ASBR.items():
-                object.__setattr__(self, name, value)
-        if self.frontend:
-            # shape validation is the frontend package's job; importing
-            # it lazily keeps repro.dse importable on its own
-            from repro.frontend import FrontendConfig
-            FrontendConfig(btb_l1_entries=self.btb_l1_entries,
-                           btb_l2_entries=self.btb_l2_entries,
-                           btb_l2_assoc=self.btb_l2_assoc,
-                           ftq_depth=self.ftq_depth,
-                           fdip=self.fdip)
-        else:
-            for name, value in _NO_FRONTEND.items():
-                object.__setattr__(self, name, value)
-        if self.backend not in BACKENDS:
-            raise ValueError("unknown backend %r (have %s)"
-                             % (self.backend, ", ".join(BACKENDS)))
-        if self.backend == "ooo":
-            # shape validation lives with the machine; lazy import for
-            # the same reason as the frontend above
-            from repro.sim.ooo import OoOConfig
-            OoOConfig(issue_width=self.issue_width,
-                      rob_size=self.rob_size,
-                      iq_size=self.iq_size,
-                      phys_regs=self.phys_regs)
-        else:
-            for name, value in _NO_OOO.items():
-                object.__setattr__(self, name, value)
+        off = set() if self.with_asbr else set(_ASBR_KNOBS)
+        for on, config in ((self.frontend, FrontendConfig),
+                           (self.backend == "ooo", OoOConfig)):
+            if on:
+                config_from(config, self)
+            else:
+                off.update(f.name for f in fields(config))
+        for f in fields(self):
+            if f.name in off:
+                object.__setattr__(self, f.name, f.default)
 
     # ------------------------------------------------------------------
     @property
@@ -155,41 +130,17 @@ class DesignPoint:
     def to_spec(self, benchmark: str, n_samples: int,
                 seed: int) -> RunSpec:
         """The :class:`RunSpec` evaluating this point on one workload."""
-        return RunSpec(benchmark=benchmark, n_samples=n_samples,
-                       seed=seed, predictor_spec=self.predictor_spec,
-                       with_asbr=self.with_asbr,
-                       bit_capacity=self.bit_capacity,
-                       bdt_update=self.bdt_update,
-                       min_fold_fraction=self.min_fold_fraction,
-                       min_count=self.min_count,
-                       frontend=self.frontend,
-                       btb_l1_entries=self.btb_l1_entries,
-                       btb_l2_entries=self.btb_l2_entries,
-                       btb_l2_assoc=self.btb_l2_assoc,
-                       ftq_depth=self.ftq_depth,
-                       fdip=self.fdip,
-                       backend=self.backend,
-                       issue_width=self.issue_width,
-                       rob_size=self.rob_size,
-                       iq_size=self.iq_size,
-                       phys_regs=self.phys_regs)
+        return RunSpec(benchmark, n_samples, seed, **self.to_dict())
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DesignPoint":
-        # missing keys take the field default so journals written
-        # before the frontend dimensions existed still load
-        return cls(**{f.name: d.get(f.name, f.default)
-                      for f in fields(cls)})
-
-
-def _tuple(values) -> tuple:
-    out = tuple(values)
-    if not out:
-        raise ValueError("every space dimension needs at least one value")
-    return out
+        """Strictly decode a journal's point (:mod:`repro.schema`).  A
+        missing key takes its field default: journals written before
+        the front-end and backend dimensions existed lack them."""
+        return decode(cls, d)
 
 
 @dataclass(frozen=True)
@@ -216,96 +167,34 @@ class ConfigSpace:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            object.__setattr__(self, f.name, _tuple(getattr(self, f.name)))
-        for upd in self.bdt_updates:
-            if upd not in BDT_UPDATES:
-                raise ValueError("unknown bdt_update %r" % (upd,))
-        for be in self.backends:
-            if be not in BACKENDS:
-                raise ValueError("unknown backend %r" % (be,))
+            values = tuple(getattr(self, f.name))
+            if not values:
+                raise SchemaError("needs at least one value", f.name)
+            object.__setattr__(self, f.name, values)
+        for name, known in (("bdt_updates", BDT_UPDATES),
+                            ("backends", BACKENDS)):
+            for i, value in enumerate(getattr(self, name)):
+                if value not in known:
+                    raise SchemaError("unknown value %r (one of: %s)"
+                                      % (value, ", ".join(known)),
+                                      "%s[%d]" % (name, i))
 
     # ------------------------------------------------------------------
     def points(self) -> List[DesignPoint]:
         """Every distinct point, in deterministic order.
 
-        Non-ASBR points collapse the ASBR dimensions and non-frontend
-        points collapse the frontend dimensions (one point per
-        remaining combination), so the grid never multiplies
-        meaningless variants.
+        Dimension ``i`` feeds :class:`DesignPoint` field ``i`` (both
+        dataclasses list them in the same order), and the grid is the
+        product of the dimensions in that order.  A point canonicalises
+        the knobs its ASBR, front-end and backend fields switch off, so
+        their variants collapse onto one point, kept where it first
+        occurs: the grid never multiplies meaningless variants.
         """
-        out: List[DesignPoint] = []
-        seen = set()
-        defaults = DesignPoint()
-        for pred in self.predictors:
-            for with_asbr in self.asbr:
-                caps = self.bit_capacities if with_asbr else (None,)
-                upds = self.bdt_updates if with_asbr else (None,)
-                ffs = self.min_fold_fractions if with_asbr else (None,)
-                mcs = self.min_counts if with_asbr else (None,)
-                for cap in caps:
-                    for upd in upds:
-                        for ff in ffs:
-                            for mc in mcs:
-                                for fe in self._frontend_variants():
-                                    for be in self._backend_variants():
-                                        kw = dict(fe)
-                                        kw.update(be)
-                                        if with_asbr:
-                                            p = DesignPoint(pred, True,
-                                                            cap, upd, ff,
-                                                            mc, **kw)
-                                        else:
-                                            p = DesignPoint(
-                                                pred, False,
-                                                defaults.bit_capacity,
-                                                defaults.bdt_update,
-                                                defaults.min_fold_fraction,
-                                                defaults.min_count,
-                                                **kw)
-                                        if p not in seen:
-                                            seen.add(p)
-                                            out.append(p)
-        return out
-
-    def _frontend_variants(self) -> List[dict]:
-        """Keyword dicts for the frontend sub-grid (collapsed when the
-        front end is absent)."""
-        out: List[dict] = []
-        for frontend in self.frontends:
-            if not frontend:
-                out.append({"frontend": False})
-                continue
-            for l1 in self.btb_l1_entries:
-                for l2 in self.btb_l2_entries:
-                    for assoc in self.btb_l2_assocs:
-                        for depth in self.ftq_depths:
-                            for fdip in self.fdip:
-                                out.append({"frontend": True,
-                                            "btb_l1_entries": l1,
-                                            "btb_l2_entries": l2,
-                                            "btb_l2_assoc": assoc,
-                                            "ftq_depth": depth,
-                                            "fdip": fdip})
-        return out
-
-    def _backend_variants(self) -> List[dict]:
-        """Keyword dicts for the backend sub-grid (the OoO machine
-        knobs collapse when the backend is in-order)."""
-        out: List[dict] = []
-        for backend in self.backends:
-            if backend != "ooo":
-                out.append({"backend": backend})
-                continue
-            for w in self.issue_widths:
-                for rob in self.rob_sizes:
-                    for iq in self.iq_sizes:
-                        for preg in self.phys_regs:
-                            out.append({"backend": "ooo",
-                                        "issue_width": w,
-                                        "rob_size": rob,
-                                        "iq_size": iq,
-                                        "phys_regs": preg})
-        return out
+        names = [f.name for f in fields(DesignPoint)]
+        grid = itertools.product(*(getattr(self, f.name)
+                                   for f in fields(self)))
+        return list(dict.fromkeys(DesignPoint(**dict(zip(names, values)))
+                                  for values in grid))
 
     @property
     def size(self) -> int:
@@ -324,10 +213,10 @@ class ConfigSpace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConfigSpace":
-        # frontend dimensions default when absent (pre-frontend files)
-        return cls(**{f.name: tuple(d[f.name]) if f.name in d
-                      else f.default
-                      for f in fields(cls)})
+        """Strictly decode a space dict (:mod:`repro.schema`).  A
+        missing dimension keeps its default: space files written before
+        the front-end and backend dimensions existed lack them."""
+        return decode(cls, d)
 
     def digest(self) -> str:
         """Content hash pinning a journal to this exact space."""
@@ -368,12 +257,15 @@ SPACES = {"paper": paper_space, "default": default_space}
 
 
 def get_space(name_or_path: str) -> ConfigSpace:
-    """Resolve a preset name or a JSON file to a :class:`ConfigSpace`."""
+    """Resolve a preset name or a JSON file to a :class:`ConfigSpace`
+    (``ValueError`` naming the problem, or the key, otherwise)."""
     if name_or_path in SPACES:
         return SPACES[name_or_path]()
     try:
         with open(name_or_path) as f:
             return ConfigSpace.from_dict(json.load(f))
-    except FileNotFoundError:
-        raise ValueError("unknown space %r (presets: %s; or a JSON file)"
-                         % (name_or_path, ", ".join(sorted(SPACES))))
+    except OSError as exc:
+        raise ValueError("unknown space %r: not a preset (%s) and not "
+                         "a readable file (%s)"
+                         % (name_or_path, ", ".join(sorted(SPACES)),
+                            exc.strerror or exc))

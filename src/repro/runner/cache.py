@@ -166,26 +166,25 @@ def input_digest(values) -> str:
     return _sha("input", ",".join(str(v) for v in values))
 
 
+#: every RunSpec field but the three the program and input digests
+#: stand for, read off the dataclass so none can be left out of the key
+_CONFIG_FIELDS = [f.name for f in dataclasses.fields(RunSpec)
+                  if f.name not in ("benchmark", "n_samples", "seed")]
+
+
 def config_digest(spec: RunSpec) -> str:
     """Digest of the run configuration (spec fields + cache version).
 
     Every :class:`RunSpec` field enters except ``benchmark``,
     ``n_samples`` and ``seed``, whose program and input
-    :func:`key_for_spec` digests.  Which loop simulated is not a field:
+    :func:`key_for_spec` digests, as ``str`` in field order (a float's
+    ``str`` is its ``repr``).  Which loop simulated is not a field:
     each ``run()`` picks it from what is attached, and the reference
     and compiled loops are bit-identical (locked by the golden and
     differential suites).
     """
     return _sha("config", "v%d" % CACHE_VERSION, SELECTION_BASELINE,
-                spec.predictor_spec, str(spec.with_asbr),
-                str(spec.bit_capacity), spec.bdt_update,
-                repr(spec.min_fold_fraction), str(spec.min_count),
-                str(spec.frontend), str(spec.btb_l1_entries),
-                str(spec.btb_l2_entries), str(spec.btb_l2_assoc),
-                str(spec.ftq_depth), str(spec.fdip),
-                spec.backend, str(spec.issue_width),
-                str(spec.rob_size), str(spec.iq_size),
-                str(spec.phys_regs))
+                *[str(getattr(spec, name)) for name in _CONFIG_FIELDS])
 
 
 def key_for_spec(spec: RunSpec) -> str:

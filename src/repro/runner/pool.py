@@ -18,13 +18,31 @@ is what makes the workers=1-vs-N determinism test
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 # SELECTION_BASELINE is re-exported: the result cache's config digest
 # names it
 from repro.profiling.selection import SELECTION_BASELINE  # noqa: F401
+from repro.schema import SchemaError
 from repro.sim.pipeline import PipelineStats
+from repro.workloads import WORKLOAD_NAMES
+
+#: the BDT forwarding paths, i.e. the paper's thresholds (commit→4,
+#: mem→3, execute→2), and the execution backends
+BDT_UPDATES: Tuple[str, ...] = ("commit", "mem", "execute")
+BACKENDS: Tuple[str, ...] = ("inorder", "ooo")
+
+
+def check_choices(config) -> None:
+    """Raise :class:`SchemaError` naming the field when a spec's or a
+    design point's ``bdt_update`` or ``backend`` is not a known one."""
+    for name, known in (("bdt_update", BDT_UPDATES),
+                        ("backend", BACKENDS)):
+        if getattr(config, name) not in known:
+            raise SchemaError("unknown value %r (one of: %s)"
+                              % (getattr(config, name), ", ".join(known)),
+                              name)
 
 
 @dataclass(frozen=True)
@@ -36,6 +54,9 @@ class RunSpec:
     they only matter for ``with_asbr`` runs but are part of every spec's
     identity so the design-space explorer (:mod:`repro.dse`) can sweep
     them through the same cache and pool as every other parameter.
+
+    Construction checks the named values and ``n_samples``, so a spec
+    decoded from outside input (:mod:`repro.schema`) is runnable.
     """
 
     benchmark: str
@@ -67,6 +88,28 @@ class RunSpec:
     rob_size: int = 32
     iq_size: int = 16
     phys_regs: int = 64
+
+    #: keys older specs carried, with every value each took, which the
+    #: decoder drops: ``engine`` named the simulator loop until each
+    #: simulator picked its own, and old bodies and job WALs carry it
+    RETIRED_KEYS: ClassVar[Dict[str, Tuple[str, ...]]] = {
+        "engine": ("interp", "blocks", "superblocks")}
+
+    def __post_init__(self) -> None:
+        if self.benchmark not in WORKLOAD_NAMES:
+            raise SchemaError("unknown value %r (one of: %s)"
+                              % (self.benchmark,
+                                 ", ".join(WORKLOAD_NAMES)), "benchmark")
+        if self.n_samples <= 0:
+            raise SchemaError("must be positive", "n_samples")
+        check_choices(self)
+
+
+def config_from(cls, spec):
+    """A ``cls`` machine config from the same-named fields of ``spec``
+    (a spec or a design point); its other fields keep their defaults."""
+    return cls(**{f.name: getattr(spec, f.name) for f in fields(cls)
+                  if hasattr(spec, f.name)})
 
 
 def _selection(spec: RunSpec, wl, pcm):
@@ -116,17 +159,10 @@ def _execute(spec: RunSpec, trace=None) -> PipelineStats:
     frontend = None
     if spec.frontend:
         from repro.frontend import FrontendConfig
-        frontend = FrontendConfig(btb_l1_entries=spec.btb_l1_entries,
-                                  btb_l2_entries=spec.btb_l2_entries,
-                                  btb_l2_assoc=spec.btb_l2_assoc,
-                                  ftq_depth=spec.ftq_depth,
-                                  fdip=spec.fdip)
+        frontend = config_from(FrontendConfig, spec)
     if spec.backend == "ooo":
         from repro.sim.ooo import OoOConfig
-        config = OoOConfig(issue_width=spec.issue_width,
-                           rob_size=spec.rob_size,
-                           iq_size=spec.iq_size,
-                           phys_regs=spec.phys_regs)
+        config = config_from(OoOConfig, spec)
         result = wl.run_ooo(pcm,
                             predictor=make_predictor(spec.predictor_spec),
                             asbr=asbr, trace=trace, config=config,

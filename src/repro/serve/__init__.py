@@ -38,12 +38,10 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.jobs import Job, JobStore
 from repro.serve.protocol import (
     WireError,
-    deadline_from_wire,
     shard_path,
     spec_from_wire,
     spec_key,
     spec_to_wire,
-    specs_from_wire,
 )
 from repro.serve.server import ServeConfig, Server, Shed, run_server
 
@@ -56,11 +54,9 @@ __all__ = [
     "Server",
     "Shed",
     "WireError",
-    "deadline_from_wire",
     "run_server",
     "shard_path",
     "spec_from_wire",
     "spec_key",
     "spec_to_wire",
-    "specs_from_wire",
 ]

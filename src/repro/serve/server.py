@@ -66,14 +66,18 @@ import time
 from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
+from repro.dse.space import SPACES
 from repro.runner import ResultCache, RunSpec, run_sweep
+from repro.schema import decode
 from repro.serve.jobs import JobStore, _result_record
 from repro.serve.protocol import (
+    DseBody,
+    RunBody,
+    SweepBody,
     WireError,
-    deadline_from_wire,
+    parse_body,
     spec_from_wire,
     spec_key,
-    specs_from_wire,
 )
 from repro.telemetry.events import (
     SERVE_DEADLINE,
@@ -373,10 +377,6 @@ class Server:
             self._send_json(writer, 400, {"ok": False,
                                           "error": str(exc)})
             return True
-        except json.JSONDecodeError as exc:
-            self._send_json(writer, 400, {"ok": False,
-                                          "error": "bad JSON: %s" % exc})
-            return True
         except Exception as exc:
             self.counters["errors"] += 1
             log.error("error handling %s %s: %s: %s", method, path,
@@ -415,10 +415,8 @@ class Server:
                        else "recovering")
         if path == "/run" and method == "POST":
             return await self._handle_run(body, writer)
-        if path == "/sweep" and method == "POST":
-            return self._handle_sweep(body, writer)
-        if path == "/dse" and method == "POST":
-            return self._handle_dse(body, writer)
+        if path in ("/sweep", "/dse") and method == "POST":
+            return self._handle_batch(path, body, writer)
         if path == "/jobs" and method == "GET":
             self._send_json(writer, 200, {
                 "jobs": [j.summary() for j in self.jobs.list()]})
@@ -443,17 +441,14 @@ class Server:
     # single runs: hot cache -> disk cache -> coalesce -> execute
     # ------------------------------------------------------------------
     async def _handle_run(self, body: bytes, writer) -> bool:
-        obj = json.loads(body or b"{}")
-        if not isinstance(obj, dict):
-            raise WireError("body must be a JSON object")
-        want_metrics = bool(obj.get("metrics", False))
-        deadline_s = deadline_from_wire(obj)
-        # accept {"spec": {...}, "metrics": bool} or a bare spec body
-        wire = obj.get("spec", obj.get("run"))
-        if wire is None and "benchmark" in obj:
-            wire, want_metrics = obj, False
-        spec = spec_from_wire(wire)
-        record = await self._resolve(spec, want_metrics, deadline_s)
+        obj = parse_body(body)
+        # a bare spec is a valid body (the README's curl example)
+        if "spec" not in obj and "benchmark" in obj:
+            run = RunBody(spec_from_wire(obj))
+        else:
+            run = decode(RunBody, obj)
+        record = await self._resolve(run.spec, run.metrics,
+                                     run.deadline_ms)
         if record.get("ok"):
             status = 200
         elif record.get("fail_kind") == "deadline":
@@ -466,7 +461,7 @@ class Server:
         return True
 
     async def _resolve(self, spec: RunSpec, want_metrics: bool,
-                       deadline_s: float = 0.0) -> dict:
+                       deadline_ms: Optional[float] = None) -> dict:
         key = spec_key(spec)
         ckey = (key, want_metrics)
         hot = self._hot.get(ckey)
@@ -496,7 +491,7 @@ class Server:
         try:
             record = await asyncio.to_thread(self._execute_single,
                                              spec, want_metrics,
-                                             deadline_s)
+                                             deadline_ms)
             fut.set_result(record)
         except BaseException:
             # followers must always settle — on an unexpected
@@ -513,10 +508,11 @@ class Server:
         return dict(record, key=key, source="executed")
 
     def _execute_single(self, spec: RunSpec, want_metrics: bool,
-                        deadline_s: float = 0.0) -> dict:
+                        deadline_ms: Optional[float] = None) -> dict:
         cfg = self.config
         self._fire_on_execute([spec])
-        deadline = (time.monotonic() + deadline_s) if deadline_s else None
+        deadline = None if deadline_ms is None \
+            else time.monotonic() + deadline_ms / 1000.0
         try:
             (result,) = run_sweep([spec], workers=cfg.workers,
                                   cache=self.cache,
@@ -569,90 +565,43 @@ class Server:
                 and self._waiting_jobs >= self.config.max_queued_jobs):
             raise Shed(429, "saturated")
 
-    def _handle_sweep(self, body: bytes, writer) -> bool:
-        obj = json.loads(body or b"{}")
-        if not isinstance(obj, dict):
-            raise WireError("body must be a JSON object")
+    def _handle_batch(self, path: str, body: bytes, writer) -> bool:
+        """``/sweep`` or ``/dse``, admitted before the body's fields are
+        decoded.  A DSE submission is sugar for a sweep over a space."""
+        obj = parse_body(body)
         self._admit_job()
-        deadline_s = deadline_from_wire(obj)
-        specs = specs_from_wire(obj.get("specs"))
-        job = self._submit_job("sweep", specs,
-                               bool(obj.get("metrics", False)),
-                               meta={"submitted_specs": len(specs)},
-                               deadline_s=deadline_s)
-        self._send_json(writer, 202, {"ok": True, "job": job.summary()})
-        return True
-
-    def _handle_dse(self, body: bytes, writer) -> bool:
-        obj = json.loads(body or b"{}")
-        if not isinstance(obj, dict):
-            raise WireError("body must be a JSON object")
-        self._admit_job()
-        deadline_s = deadline_from_wire(obj)
-        specs, meta = self._dse_specs(obj)
-        job = self._submit_job("dse", specs,
-                               bool(obj.get("metrics", False)),
-                               meta=meta, deadline_s=deadline_s)
-        self._send_json(writer, 202, {"ok": True, "job": job.summary()})
-        return True
-
-    def _dse_specs(self, obj: dict) -> Tuple[List[RunSpec], dict]:
-        """A DSE submission is sugar for a sweep over a ConfigSpace.
-
-        ``space`` is a preset *name* or an inline space dict — never a
-        server-side file path; remote tenants don't get to open files.
-        """
-        import dataclasses as dc
-
-        from repro.dse import ConfigSpace
-        from repro.dse.space import default_space, paper_space
-        space_arg = obj.get("space", "paper")
-        if isinstance(space_arg, dict):
-            dims = {f.name for f in dc.fields(ConfigSpace)}
-            unknown = sorted(set(space_arg) - dims)
-            if unknown:
-                raise WireError("unknown space dimension(s): %s"
-                                % ", ".join(unknown))
-            try:
-                # omitted dimensions keep the ConfigSpace defaults
-                space = ConfigSpace(**{k: tuple(v) for k, v
-                                       in space_arg.items()})
-            except Exception as exc:
-                raise WireError("bad space: %s" % exc)
-        elif space_arg == "paper":
-            space = paper_space()
-        elif space_arg == "default":
-            space = default_space()
+        if path == "/sweep":
+            req = decode(SweepBody, obj)
+            specs = list(req.specs)
+            meta = {"submitted_specs": len(specs)}
         else:
-            raise WireError("space must be 'paper', 'default' or an "
-                            "inline space object")
-        probe = spec_from_wire({
-            "benchmark": obj.get("benchmark", "adpcm_enc"),
-            "n_samples": obj.get("n_samples", 600),
-            "seed": obj.get("seed", 20010618),
-            "predictor_spec": "bimodal-2048",
-        })
-        points = space.points()
-        n_points = obj.get("n_points")
-        if n_points is not None:
-            if isinstance(n_points, bool) or not isinstance(n_points,
-                                                           int) \
-                    or n_points <= 0:
-                raise WireError("n_points must be a positive integer")
-            points = space.sample(min(n_points, len(points)), probe.seed)
-        specs = [p.to_spec(probe.benchmark, probe.n_samples, probe.seed)
-                 for p in points]
-        meta = {"space_digest": space.digest(),
-                "benchmark": probe.benchmark,
-                "n_samples": probe.n_samples, "seed": probe.seed,
-                "points": [p.key() for p in points]}
-        return specs, meta
+            req = decode(DseBody, obj)
+            space = SPACES[req.space]() if isinstance(req.space, str) \
+                else req.space
+            try:
+                points = space.points()
+            except ValueError as exc:     # a machine shape, e.g. the BTB
+                raise WireError(str(exc), "space") from None
+            if req.n_points is not None:
+                points = space.sample(min(req.n_points, len(points)),
+                                      req.seed)
+            specs = [p.to_spec(req.benchmark, req.n_samples, req.seed)
+                     for p in points]
+            meta = {"space_digest": space.digest(),
+                    "benchmark": req.benchmark,
+                    "n_samples": req.n_samples, "seed": req.seed,
+                    "points": [p.key() for p in points]}
+        job = self._submit_job(path[1:], specs, req.metrics, meta=meta,
+                               deadline_ms=req.deadline_ms)
+        self._send_json(writer, 202, {"ok": True, "job": job.summary()})
+        return True
 
     def _submit_job(self, kind: str, specs: List[RunSpec],
                     collect_metrics: bool, meta: Optional[dict] = None,
-                    deadline_s: float = 0.0):
+                    deadline_ms: Optional[float] = None):
         distinct = list(dict.fromkeys(specs))
-        deadline_at = (time.time() + deadline_s) if deadline_s else None
+        deadline_at = None if deadline_ms is None \
+            else time.time() + deadline_ms / 1000.0
         job = self.jobs.create(kind, distinct,
                                collect_metrics=collect_metrics,
                                meta=meta, deadline_at=deadline_at)

@@ -254,3 +254,24 @@ class TestHardenedRunnerCLI:
         out = capsys.readouterr().out
         assert "0 pruned" in out
         assert bad.exists()
+
+
+class TestDseRunBadSpace:
+    """``dse run --space`` names what is wrong in one stderr line and
+    exits 2 before any journal is opened."""
+
+    @pytest.mark.parametrize("space, needle", [
+        ("papr", "unknown space 'papr'"),
+        ("missing.json", "missing.json"),
+        ("bad.json", "bit_capacity: unknown key"),
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                   space, needle):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text('{"bit_capacity": [4]}')
+        code = main(["dse", "run", "--space", space, "--no-cache",
+                     "--journal", "j.jsonl"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and needle in err
+        assert not (tmp_path / "j.jsonl").exists()

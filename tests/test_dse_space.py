@@ -1,6 +1,8 @@
 """Unit tests for the typed design space (repro.dse.space)."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.dse.space import (
     get_space,
     paper_space,
 )
+from repro.runner import RunSpec
 
 
 class TestDesignPoint:
@@ -47,6 +50,13 @@ class TestDesignPoint:
                     DesignPoint(predictor_spec="not-taken")]
         keys = {p.key() for p in variants} | {base.key()}
         assert len(keys) == len(variants) + 1
+
+    def test_fields_are_the_spec_minus_its_input(self):
+        """A point is a RunSpec without (benchmark, n_samples, seed):
+        ``to_spec`` and the journal's point dicts rely on it."""
+        spec = [f.name for f in dataclasses.fields(RunSpec)]
+        assert [f.name for f in dataclasses.fields(DesignPoint)] == \
+            [n for n in spec if n not in ("benchmark", "n_samples", "seed")]
 
     def test_to_spec_carries_everything(self):
         p = DesignPoint(bit_capacity=8, bdt_update="mem",
@@ -99,10 +109,47 @@ class TestConfigSpace:
         assert paper_space().digest() == paper_space().digest()
         assert paper_space().digest() != default_space().digest()
 
+    def test_dimensions_line_up_with_point_fields(self):
+        """``points`` feeds dimension i to DesignPoint field i: each
+        dimension's default values hold that field's default."""
+        dims = dataclasses.fields(ConfigSpace)
+        point = dataclasses.fields(DesignPoint)
+        assert len(dims) == len(point)
+        for dim, f in zip(dims, point):
+            assert f.default in dim.default, (dim.name, f.name)
+
     def test_dict_roundtrip(self):
         space = default_space()
         again = ConfigSpace.from_dict(space.to_dict())
         assert again == space and again.digest() == space.digest()
+
+    def test_from_dict_tolerates_pre_frontend_space_files(self):
+        d = paper_space().to_dict()
+        for name in ("frontends", "btb_l1_entries", "btb_l2_entries",
+                     "btb_l2_assocs", "ftq_depths", "fdip", "backends",
+                     "issue_widths", "rob_sizes", "iq_sizes", "phys_regs"):
+            del d[name]
+        again = ConfigSpace.from_dict(json.loads(json.dumps(d)))
+        assert again == paper_space()
+        assert again.digest() == paper_space().digest()
+
+    @pytest.mark.parametrize("d, key", [
+        # field names for dimension names once ran without a front end
+        ({"frontend": [True], "fdip": [True]}, "frontend"),
+        ({"predictor": ["gshare-512-8"], "bit_capacity": [4]},
+         "predictor"),
+        # "no" once switched ASBR on, a bare string became characters
+        ({"asbr": ["no"]}, "asbr[0]"),
+        ({"predictors": "not-taken"}, "predictors"),
+        ({"bit_capacities": [4.0]}, "bit_capacities[0]"),
+        ({"min_fold_fractions": [0.5, float("nan")]},
+         "min_fold_fractions[1]"),
+        ({"bdt_updates": ["fetch"]}, "bdt_updates[0]"),
+        ({"predictors": []}, "predictors"),
+    ])
+    def test_from_dict_rejects_naming_the_key(self, d, key):
+        with pytest.raises(ValueError, match=r"^%s: " % re.escape(key)):
+            ConfigSpace.from_dict(json.loads(json.dumps(d)))
 
 
 class TestGetSpace:

@@ -72,6 +72,32 @@ def test_key_changes_with_each_digest_component():
         != key_for_spec(spec_of(asbr=True))
 
 
+#: key_for_spec hex digests recorded at CACHE_VERSION 7 while the
+#: config digest still listed the RunSpec fields by hand; reading them
+#: off the dataclass must key every spec as before
+LOCKED_KEYS = [
+    (RunSpec("adpcm_enc", 600, 20010618, "bimodal-512-512"),
+     "3860df769cebefadb56344bd792420f5f6f33e49224ed3fd6c5ed1333060e8bb"),
+    (RunSpec("adpcm_enc", 600, 20010618, "bimodal-512-512",
+             with_asbr=True, bdt_update="mem"),
+     "51317a052c0f13f5e74613b49339265d02a9a134bf211e8e4dbebfec87d4e634"),
+    (RunSpec("huffman_dec", 400, 20010618, "bimodal-512-512",
+             frontend=True, fdip=True),
+     "beb3bd5ea1cfa80e5fb1ddd53d07ccad5243fd836a9034d2fdbe24531efeaf35"),
+    (RunSpec("huffman_dec", 400, 20010618, "bimodal-512-512",
+             with_asbr=True, backend="ooo", issue_width=4),
+     "1206d3364f4f8f2ad3fbacd55f0ad8fc5e8fc26617ced4a8e4080505f755173f"),
+]
+
+
+@pytest.mark.parametrize("spec, key", LOCKED_KEYS,
+                         ids=["plain", "asbr-mem", "frontend-fdip",
+                              "ooo-4wide"])
+def test_cache_key_locked(spec, key):
+    assert CACHE_VERSION == 7
+    assert key_for_spec(spec) == key
+
+
 # ----------------------------------------------------------------------
 # cache hit / miss / recovery
 # ----------------------------------------------------------------------
