@@ -51,8 +51,7 @@ def start_daemon(tmp, log_name):
         [sys.executable, "-m", "repro.cli", "serve",
          "--port", "0", "--cache-dir", os.path.join(tmp, "cache"),
          "--state-dir", os.path.join(tmp, "state"),
-         "--workers", "2", "--task-timeout", "30", "--retries", "0",
-         "--shards", "16"],
+         "--workers", "2", "--task-timeout", "30", "--retries", "0"],
         stderr=open(log_path, "w"), stdout=subprocess.DEVNULL,
         start_new_session=True), log_path
 
@@ -75,6 +74,18 @@ def wait_for_port(log_path: str, timeout: float = 30.0) -> int:
         time.sleep(0.1)
     raise TimeoutError("daemon never logged its port:\n" +
                        open(log_path).read())
+
+
+def wait_ready(client: ServeClient, timeout: float = 60.0) -> None:
+    """Poll ``/readyz``: WAL replay runs on a thread after the bind,
+    so a logged port does not yet mean the jobs are recovered."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if client.readyz()[0]:
+            return
+        time.sleep(0.1)
+    raise TimeoutError("daemon never became ready: %r"
+                       % (client.readyz(),))
 
 
 def wait_for_progress(client: ServeClient, job_id: str, at_least: int,
@@ -120,6 +131,7 @@ def main() -> int:
     try:
         port = wait_for_port(log2)
         client = ServeClient(port=port, timeout=120.0)
+        wait_ready(client)
         stats = client.stats()
         assert stats["counters"]["jobs_recovered"] >= 1, stats
         job = client.wait_job(job_id, timeout=300)

@@ -31,12 +31,14 @@ cache + pool, ``frontier``/``report`` re-render a journal without any
 simulation.  ``faults campaign`` injects seeded soft errors into the
 ASBR state and classifies every one (:mod:`repro.faults`).  ``cache
 gc`` size-caps the on-disk result cache; ``cache verify`` checks every
-entry's payload checksum and prunes corruption (both traverse sharded
-and flat cache layouts).  ``serve`` runs the long-lived simulation
-daemon (:mod:`repro.serve`): JSON/HTTP submission of single runs,
-sweeps and DSE jobs with request coalescing, a sharded result cache
-and streamed job progress; with ``--state-dir`` every job journals to
-a write-ahead log and a restarted daemon resumes unfinished work.
+entry's payload checksum and prunes corruption.  Every command that
+takes ``--cache-dir`` reads and writes one layout, so they can share a
+directory (``REPRO_CACHE_DIR``).  ``serve`` runs the long-lived
+simulation daemon (:mod:`repro.serve`): JSON/HTTP submission of single
+runs, sweeps and DSE jobs with request coalescing, the shared result
+cache and streamed job progress; with ``--state-dir`` every job
+journals to a write-ahead log and a restarted daemon resumes
+unfinished work.
 ``--trace-out`` / ``--branch-report`` / ``--json`` attach the telemetry
 layer (:mod:`repro.telemetry`) to the run; ``trace`` renders a
 previously captured JSONL event stream.
@@ -447,7 +449,6 @@ def cmd_serve(args) -> int:
     config = ServeConfig(
         host=args.host, port=args.port,
         cache_dir=None if args.no_cache else args.cache_dir,
-        shards=args.shards,
         max_bytes=parse_size(args.max_bytes)
         if args.max_bytes is not None else None,
         workers=args.workers, task_timeout=args.task_timeout,
@@ -753,13 +754,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir",
                    default=os.environ.get("REPRO_CACHE_DIR",
                                           "results/.servecache"),
-                   help="sharded on-disk result cache location")
+                   help="on-disk result cache location; experiments "
+                        "and dse run on the same directory share its "
+                        "entries")
     p.add_argument("--no-cache", action="store_true",
                    help="serve without a disk cache (memory only)")
-    p.add_argument("--shards", type=int, default=256,
-                   choices=(0, 16, 256, 4096),
-                   help="cache shard count (hex-prefix directories; "
-                        "0 = flat legacy layout)")
     p.add_argument("--max-bytes",
                    help="cache size cap, e.g. 64M (LRU gc on write)")
     p.add_argument("--task-timeout", type=float, default=60.0,

@@ -28,7 +28,7 @@ configurations.  This package turns those requests into:
 here; ``repro.cli experiments --workers N`` exposes it to users.
 """
 
-from repro.runner.aggregate import aggregate_metrics, sweep_metrics
+from repro.runner.aggregate import aggregate_metrics
 from repro.runner.cache import (
     CACHE_VERSION,
     GCResult,
@@ -37,7 +37,6 @@ from repro.runner.cache import (
     key_for_spec,
     parse_size,
     shard_of,
-    shard_width,
 )
 from repro.runner.pool import (
     DeadlineExpired,
@@ -67,6 +66,4 @@ __all__ = [
     "map_specs",
     "run_sweep",
     "shard_of",
-    "shard_width",
-    "sweep_metrics",
 ]

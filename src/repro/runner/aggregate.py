@@ -51,10 +51,3 @@ def aggregate_metrics(specs: Sequence[RunSpec],
         registry.merge(MetricsRegistry.from_dict(m))
     return merged
 
-
-def sweep_metrics(specs: Sequence[RunSpec], results: Sequence,
-                  group_by: Optional[Callable[[RunSpec], str]] = None
-                  ) -> Dict[str, MetricsRegistry]:
-    """Convenience wrapper taking ``run_sweep`` pairs directly."""
-    return aggregate_metrics(specs, [m for _, m in results],
-                             group_by=group_by)

@@ -28,17 +28,16 @@ touch their entry) whenever a write pushes the directory over the cap.
 design-space sweep (:mod:`repro.dse`) can write thousands of entries,
 so unbounded growth is no longer hypothetical.
 
-The directory can be *sharded*: ``ResultCache(root, shards=256)``
-spreads entries over ``root/<key prefix>/`` subdirectories so that
-many concurrent writers (the :mod:`repro.serve` daemon's pool workers,
-several tenants pointed at one cache volume) don't contend on a single
-directory's inode.  Keys are uniform sha256 hex, so prefix sharding is
-balanced by construction.  Opening an existing flat-layout cache with
-``shards>0`` performs a one-time migration: every flat entry is
-``os.replace``-moved into its shard (same filesystem, atomic, content and
-mtime preserved — results are byte-identical before and after).
-``gc`` and ``verify`` traverse both layouts regardless of the handle's
-own ``shards`` setting.
+Every entry lives under the shard directory named by the first two hex
+characters of its key, ``root/<key[:2]>/<key>.json``, so the serve
+daemon's pool workers, the experiment drivers, ``repro dse run`` and
+several tenants can share one directory without contending on a single
+inode.  Keys are uniform sha256 hex, so the 256 shards are balanced by
+construction.  There is one layout, so every handle on a directory
+reads every other handle's entries.  Opening a directory that holds
+flat ``root/<key>.json`` entries (the layout of earlier versions)
+moves each into its shard once, with ``os.replace``: atomic, content
+and mtime preserved, results byte-identical before and after.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ from repro.sim.pipeline import PipelineStats
 #: and fold counters (the energy model's inputs).
 CACHE_VERSION = 7
 
-#: Entry ``kind`` → stats dataclass; entries written before v6 carry no
-#: kind and default to the in-order shape.
+#: Entry ``kind`` → stats dataclass.
 _STATS_TYPES = {"pipeline": PipelineStats, "ooo": OoOStats}
 
 
@@ -78,7 +76,7 @@ def _stats_from_entry(entry: dict):
     Raises ``KeyError``/``TypeError`` on an unknown kind or mismatched
     field set — both are treated as corruption by the callers.
     """
-    cls = _STATS_TYPES[entry.get("kind", "pipeline")]
+    cls = _STATS_TYPES[entry["kind"]]
     return cls(**entry["stats"])
 
 
@@ -107,28 +105,14 @@ def parse_size(text: str) -> int:
     return value * mult
 
 
-#: Allowed ``shards=`` values: 0 keeps the legacy flat layout, powers
-#: of 16 shard by that many hex-prefix subdirectories.
-_SHARD_WIDTH = {0: 0, 16: 1, 256: 2, 4096: 3}
+def shard_of(key: str) -> str:
+    """Shard subdirectory of ``key``: its first two hex characters.
 
-
-def shard_width(shards: int) -> int:
-    """Hex-prefix length of a shard directory name (0 → flat layout)."""
-    try:
-        return _SHARD_WIDTH[shards]
-    except (KeyError, TypeError):
-        raise ValueError("shards must be one of %s, got %r"
-                         % (sorted(_SHARD_WIDTH), shards))
-
-
-def shard_of(key: str, shards: int) -> str:
-    """Shard subdirectory of ``key`` (``""`` for the flat layout).
-
-    This is *the* layout function: :class:`ResultCache`, the serve
-    daemon and the wire-format property tests all resolve a key's
-    on-disk home through it, so they can never disagree.
+    This is *the* layout function: :class:`ResultCache` and the
+    wire-format property tests resolve a key's on-disk home through
+    it, so they can never disagree.
     """
-    return key[:shard_width(shards)]
+    return key[:2]
 
 
 def _sha(*parts: str) -> str:
@@ -245,47 +229,33 @@ class GCResult:
 
 
 class ResultCache:
-    """Directory of ``<key>.json`` entries holding PipelineStats.
+    """Directory of ``<key[:2]>/<key>.json`` entries holding stats.
 
     With ``max_bytes`` set, every write that grows the directory past
     the cap triggers an LRU-by-mtime collection (oldest entries deleted
     until the cap is respected again).  Reads touch the entry's mtime,
     so "least recently used" means used, not written.
 
-    With ``shards`` set (16/256/4096), entries live under a hex-prefix
-    subdirectory; opening a flat directory with sharding on migrates
-    every flat entry once, atomically, preserving content and mtime.
-    The layout is a property of the directory — point every handle at
-    one directory with the same ``shards`` value.
+    Opening a handle moves any flat ``<key>.json`` entry into its
+    shard (counted in ``migrated``), so no entry is left where ``get``,
+    ``gc`` or ``verify`` would not look.
     """
 
     def __init__(self, root: str,
-                 max_bytes: Optional[int] = None,
-                 shards: int = 0) -> None:
+                 max_bytes: Optional[int] = None) -> None:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         self.root = root
         self.max_bytes = max_bytes
-        self.shards = shards
-        self._shard_width = shard_width(shards)
         self.hits = 0
         self.misses = 0
         self.dropped = 0      # corrupted entries deleted on read
         self.evicted = 0      # entries removed by gc over this handle
-        self.migrated = 0     # flat entries moved into shards at open
         self._approx_bytes: Optional[int] = None   # lazy running total
-        if self._shard_width:
-            self.migrated = self._migrate_flat()
-
-    def shard_of(self, key: str) -> str:
-        """This handle's shard subdirectory for ``key`` (may be "")."""
-        return key[: self._shard_width]
+        self.migrated = self._migrate_flat()   # flat entries moved
 
     def _path(self, key: str) -> str:
-        if self._shard_width:
-            return os.path.join(self.root, self.shard_of(key),
-                                key + ".json")
-        return os.path.join(self.root, key + ".json")
+        return os.path.join(self.root, shard_of(key), key + ".json")
 
     def _migrate_flat(self) -> int:
         """Move flat-layout ``<key>.json`` entries into their shards.
@@ -316,10 +286,9 @@ class ResultCache:
     def _scan(self):
         """``(mtime, size, path)`` for every entry, oldest first.
 
-        Walks the flat layer *and* every shard subdirectory, whatever
-        this handle's own ``shards`` setting — so ``gc`` and ``verify``
-        (and the CLI commands over them) cover mixed and migrated
-        layouts without being told how the directory is organised.
+        Walks every subdirectory, so entries under a shard of another
+        width (written by an earlier version's daemon) still age out
+        through ``gc`` and are checked by ``verify``.
         """
         entries = []
 
@@ -341,8 +310,6 @@ class ResultCache:
                                         add(se)
                         except OSError:
                             continue
-                    elif de.name.endswith(".json"):
-                        add(de)
         except OSError:
             return []                     # no directory yet
         entries.sort()

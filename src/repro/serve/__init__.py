@@ -12,7 +12,7 @@ the front half:
 * :mod:`~repro.serve.jobs` — job records with streamable per-spec
   progress events and honest terminal states (``done``/``failed``);
 * :mod:`~repro.serve.server` — the asyncio daemon: ``/run`` with
-  in-flight coalescing over a hot in-memory LRU and the sharded disk
+  in-flight coalescing over a hot in-memory LRU and the shared disk
   cache, ``/sweep`` and ``/dse`` batch jobs over the hardened pool,
   chunked-JSONL event streams, graceful drain on shutdown;
 * :mod:`~repro.serve.client` — a dependency-free synchronous client
@@ -38,7 +38,6 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.jobs import Job, JobStore
 from repro.serve.protocol import (
     WireError,
-    shard_path,
     spec_from_wire,
     spec_key,
     spec_to_wire,
@@ -55,7 +54,6 @@ __all__ = [
     "Shed",
     "WireError",
     "run_server",
-    "shard_path",
     "spec_from_wire",
     "spec_key",
     "spec_to_wire",

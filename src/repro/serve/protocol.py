@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.dse.space import SPACES, ConfigSpace
-from repro.runner import RunSpec, key_for_spec, shard_of
+from repro.runner import RunSpec, key_for_spec
 from repro.schema import SchemaError, decode
 
 #: every value the retired ``engine`` spec key took
@@ -125,10 +125,3 @@ def spec_key(spec: RunSpec) -> str:
     """The service's coalescing/cache key — the runner's, verbatim."""
     return key_for_spec(spec)
 
-
-def shard_path(spec: RunSpec, shards: int) -> str:
-    """``"<shard>/<key>.json"`` relative entry path under a cache root."""
-    key = spec_key(spec)
-    prefix = shard_of(key, shards)
-    name = key + ".json"
-    return prefix + "/" + name if prefix else name

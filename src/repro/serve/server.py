@@ -17,9 +17,11 @@ Architecture, front to back:
   future; exactly one simulation happens (locked by the load test via
   the ``on_execute`` counter hook).
 * **Cache layer** — the shared on-disk :class:`~repro.runner.
-  ResultCache`, sharded by spec-hash prefix (``shards=256`` by
-  default) so the daemon's pool workers and any sibling tenants don't
-  contend on one directory.
+  ResultCache`, in the one layout every handle uses (a directory per
+  two-character spec-hash prefix): the daemon's pool workers and
+  sibling tenants don't contend on one directory, and ``repro
+  experiments`` or ``repro dse run`` on the same ``--cache-dir`` read
+  the daemon's entries and it theirs.
 * **Execution layer** — :func:`repro.runner.run_sweep` on worker
   threads, with the PR 4 crash machinery (``task_timeout``/
   ``retries``/``on_error="return"``, pool rebuild, serial fallback).
@@ -102,6 +104,17 @@ COUNTER_KEYS = ("requests", "executions", "coalesced", "hot_hits",
                 "errors")
 
 
+class BadHead(Exception):
+    """A request head answered with ``status`` before its body is read
+    (413 past ``max_body``, 400 for a malformed ``Content-Length``);
+    the unread body leaves the stream unusable, so the connection
+    closes after the answer."""
+
+    def __init__(self, status: int, reason: str) -> None:
+        super().__init__(reason)
+        self.status = status
+
+
 class Shed(Exception):
     """Admission control rejected this request (429 saturated / 503
     draining); carries the status and a client-safe reason."""
@@ -120,7 +133,6 @@ class ServeConfig:
     port: int = 8765                  # 0 = ephemeral (bound port is
     #                                   published on Server.port)
     cache_dir: Optional[str] = None   # None = no disk cache
-    shards: int = 256
     max_bytes: Optional[int] = None
     workers: int = 0                  # pool size for sweep/DSE jobs
     task_timeout: Optional[float] = None
@@ -158,8 +170,7 @@ class Server:
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
         cfg = self.config
-        self.cache = (ResultCache(cfg.cache_dir, max_bytes=cfg.max_bytes,
-                                  shards=cfg.shards)
+        self.cache = (ResultCache(cfg.cache_dir, max_bytes=cfg.max_bytes)
                       if cfg.cache_dir else None)
         self.jobs = JobStore(state_dir=cfg.state_dir)
         self.counters = dict.fromkeys(COUNTER_KEYS, 0)
@@ -199,10 +210,9 @@ class Server:
         self._server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        log.info("listening on %s:%d (workers=%d, cache=%s, shards=%d, "
-                 "state=%s)",
+        log.info("listening on %s:%d (workers=%d, cache=%s, state=%s)",
                  self.config.host, self.port, self.config.workers,
-                 self.config.cache_dir or "-", self.config.shards,
+                 self.config.cache_dir or "-",
                  self.config.state_dir or "-")
         # recovery runs *after* the listener binds so /healthz and
         # /readyz are observable during replay; work submission stays
@@ -293,7 +303,14 @@ class Server:
         self._conns.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except BadHead as exc:
+                    self._send_json(writer, exc.status,
+                                    {"ok": False, "error": str(exc)},
+                                    keep=False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, body = request
@@ -328,20 +345,24 @@ class Server:
             return None
         method = parts[0].decode("latin-1").upper()
         path = parts[1].decode("latin-1").split("?", 1)[0]
-        length = 0
+        length = "0"
         while True:
             header = await reader.readline()
             if header in (b"", b"\r\n", b"\n"):
                 break
             name, _, value = header.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    return None
-        if length > self.config.max_body:
-            raise WireError("request body too large")
-        body = await reader.readexactly(length) if length else b""
+                length = value.strip()
+        # 1*DIGIT: int() alone would take "-1", "+1" and "1_0"
+        if not (length.isascii() and length.isdigit()):
+            raise BadHead(400, "bad Content-Length %r" % length[:64])
+        # int() refuses over 4300 digits; 19 exceed any body size
+        n = int(length) if len(length) <= 18 else self.config.max_body + 1
+        if n > self.config.max_body:
+            raise BadHead(413, "request body too large: Content-Length "
+                          "%s, max_body %d"
+                          % (length[:64], self.config.max_body))
+        body = await reader.readexactly(n) if n else b""
         return method, path, body
 
     def _send_json(self, writer, status: int, obj: dict,
@@ -728,7 +749,7 @@ class Server:
     def stats(self) -> dict:
         cache = None
         if self.cache is not None:
-            cache = {"root": self.cache.root, "shards": self.cache.shards,
+            cache = {"root": self.cache.root,
                      "hits": self.cache.hits, "misses": self.cache.misses,
                      "dropped": self.cache.dropped,
                      "evicted": self.cache.evicted,

@@ -1,5 +1,6 @@
 """Size-capped result cache: parse_size, LRU gc, read-touch, auto-gc."""
 
+import glob
 import os
 
 import pytest
@@ -25,8 +26,8 @@ def set_ages(cache, keys, start=1_000_000):
 
 
 def entry_names(cache):
-    return {n[:-len(".json")] for n in os.listdir(cache.root)
-            if n.endswith(".json")}
+    return {os.path.basename(p)[:-len(".json")] for p in
+            glob.glob(os.path.join(cache.root, "*", "*.json"))}
 
 
 class TestParseSize:

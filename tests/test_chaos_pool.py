@@ -18,6 +18,7 @@ environment — exactly one attempt trips, every retry runs clean.
 """
 
 import dataclasses
+import glob
 import json
 import multiprocessing
 import os
@@ -219,7 +220,8 @@ def test_run_sweep_quarantines_and_never_caches_failures(tmp_path):
     assert isinstance(results[0], PipelineStats)
     assert isinstance(results[1], FailedResult)
     # only the healthy spec landed on disk
-    assert os.listdir(str(tmp_path)) == [key_for_spec(specs[0]) + ".json"]
+    assert glob.glob(os.path.join(str(tmp_path), "*", "*.json")) == \
+        [cache._path(key_for_spec(specs[0]))]
     # a clean rerun recomputes the quarantined spec (and fails again)
     warm = run_sweep(specs, cache=ResultCache(str(tmp_path)),
                      on_error="return")
@@ -229,7 +231,7 @@ def test_run_sweep_quarantines_and_never_caches_failures(tmp_path):
 def test_corrupted_cache_entry_mid_sweep_recovers(tmp_path):
     cache = ResultCache(str(tmp_path))
     (first,) = run_sweep([spec_of()], cache=cache)
-    path = os.path.join(str(tmp_path), key_for_spec(spec_of()) + ".json")
+    path = cache._path(key_for_spec(spec_of()))
     entry = json.loads(open(path).read())
     entry["stats"]["cycles"] += 1          # silent payload corruption
     with open(path, "w") as f:
@@ -253,4 +255,4 @@ def test_sweep_survives_sigkill_with_cache(tmp_path, monkeypatch):
     results = run_sweep(specs, workers=3, cache=cache, task_timeout=6,
                         retries=2, on_error="return")
     assert all(isinstance(r, PipelineStats) for r in results)
-    assert len(os.listdir(str(tmp_path / "cache"))) == 3
+    assert len(glob.glob(str(tmp_path / "cache" / "*" / "*.json"))) == 3

@@ -83,6 +83,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache"])
 
+    def test_serve_has_no_layout_flag(self):
+        """Every cache handle shares one layout, so no flag picks one."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--shards", "256"])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_asm_hex(self, tiny_program, capsys):
@@ -242,12 +248,12 @@ class TestHardenedRunnerCLI:
                      str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "1 corrupt" in out and "1 pruned" in out
-        assert list(cache_dir.iterdir()) == []
+        assert list(cache_dir.glob("**/*.json")) == []
 
     def test_cache_verify_keep_leaves_files(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        bad = cache_dir / ("cd" * 32 + ".json")
+        (cache_dir / "cd").mkdir(parents=True)
+        bad = cache_dir / "cd" / ("cd" * 32 + ".json")
         bad.write_text("{ not json")
         assert main(["cache", "verify", "--cache-dir", str(cache_dir),
                      "--keep"]) == 0

@@ -11,6 +11,7 @@ Covers the contract stated in :mod:`repro.runner`:
 """
 
 import dataclasses
+import glob
 import json
 import os
 
@@ -39,6 +40,11 @@ def spec_of(predictor="not-taken", bench="adpcm_enc", asbr=False, **kw):
 
 def as_dicts(stats_list):
     return [dataclasses.asdict(s) for s in stats_list]
+
+
+def entry_files(root):
+    """Every cache entry under ``root``, in its key-prefix shard."""
+    return sorted(glob.glob(os.path.join(str(root), "*", "*.json")))
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +123,7 @@ def test_cache_drops_corrupted_entry(tmp_path):
     cache = ResultCache(str(tmp_path))
     key = key_for_spec(spec_of())
     cache.put(key, execute_spec(spec_of()))
-    path = os.path.join(str(tmp_path), key + ".json")
+    path = cache._path(key)
     with open(path, "w") as f:
         f.write("{ truncated garbage")
     assert cache.get(key) is None
@@ -133,7 +139,7 @@ def test_cache_drops_version_mismatch(tmp_path):
     cache = ResultCache(str(tmp_path))
     key = key_for_spec(spec_of())
     cache.put(key, execute_spec(spec_of()))
-    path = os.path.join(str(tmp_path), key + ".json")
+    path = cache._path(key)
     with open(path) as f:
         entry = json.load(f)
     entry["version"] = CACHE_VERSION + 1
@@ -146,7 +152,8 @@ def test_cache_drops_version_mismatch(tmp_path):
 def test_cache_drops_wrong_stats_fields(tmp_path):
     cache = ResultCache(str(tmp_path))
     key = key_for_spec(spec_of())
-    with open(os.path.join(str(tmp_path), key + ".json"), "w") as f:
+    os.makedirs(os.path.dirname(cache._path(key)))
+    with open(cache._path(key), "w") as f:
         json.dump({"version": CACHE_VERSION,
                    "stats": {"no_such_field": 1}}, f)
     assert cache.get(key) is None
@@ -170,7 +177,7 @@ def test_sweep_dedupes_and_orders(tmp_path):
     assert len(results) == len(SWEEP)
     assert results[0] is results[3]             # computed once
     assert cache.misses == 3                    # distinct specs only
-    assert len(os.listdir(str(tmp_path))) == 3
+    assert len(entry_files(tmp_path)) == 3
 
 
 def test_sweep_warm_rerun_hits_cache(tmp_path):
@@ -217,7 +224,7 @@ def test_metric_sweep_caches_and_upgrades(tmp_path):
     key = key_for_spec(spec)
     assert cache.get(key) is not None
     assert cache.get(key, with_metrics=True) is None
-    assert os.path.exists(os.path.join(str(tmp_path), key + ".json"))
+    assert os.path.exists(cache._path(key))
 
     # the metric sweep recomputes once, upgrading the entry in place
     (stats, metrics), = run_sweep([spec], cache=cache,
@@ -251,7 +258,7 @@ def test_setup_uses_disk_cache(tmp_path):
                             cache_dir=str(tmp_path))
     s1 = first.run("adpcm_enc", "not-taken")
     assert first.result_cache().misses == 1
-    assert len(os.listdir(str(tmp_path))) == 1
+    assert len(entry_files(tmp_path)) == 1
 
     second = ExperimentSetup(n_samples=N, seed=SEED,
                              cache_dir=str(tmp_path))
@@ -339,7 +346,7 @@ def test_cache_entries_carry_verifiable_checksum(tmp_path):
     cache = ResultCache(str(tmp_path))
     key = key_for_spec(spec_of())
     cache.put(key, execute_spec(spec_of()))
-    with open(os.path.join(str(tmp_path), key + ".json")) as f:
+    with open(cache._path(key)) as f:
         entry = json.load(f)
     assert entry["sha256"] == _payload_checksum(entry)
     assert cache.get(key) is not None        # and it reads back
@@ -351,7 +358,7 @@ def test_cache_drops_silently_tampered_payload(tmp_path):
     cache = ResultCache(str(tmp_path))
     key = key_for_spec(spec_of())
     cache.put(key, execute_spec(spec_of()))
-    path = os.path.join(str(tmp_path), key + ".json")
+    path = cache._path(key)
     with open(path) as f:
         entry = json.load(f)
     entry["stats"]["cycles"] += 1
@@ -368,10 +375,11 @@ def test_cache_verify_classifies_and_prunes(tmp_path):
     cache.put(good, execute_spec(spec_of()))
 
     def write(name, payload):
-        with open(os.path.join(str(tmp_path), name + ".json"), "w") as f:
+        os.makedirs(os.path.dirname(cache._path(name)), exist_ok=True)
+        with open(cache._path(name), "w") as f:
             f.write(payload)
 
-    with open(os.path.join(str(tmp_path), good + ".json")) as f:
+    with open(cache._path(good)) as f:
         entry = json.load(f)
     stale = dict(entry, version=CACHE_VERSION - 1)
     write("aa" * 32, json.dumps(stale))
@@ -387,7 +395,7 @@ def test_cache_verify_classifies_and_prunes(tmp_path):
 
     pruned = ResultCache(str(tmp_path)).verify(prune=True)
     assert pruned.pruned == 3
-    assert os.listdir(str(tmp_path)) == [good + ".json"]
+    assert entry_files(tmp_path) == [cache._path(good)]
     assert ResultCache(str(tmp_path)).verify().ok == 1
 
 

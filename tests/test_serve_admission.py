@@ -28,8 +28,7 @@ SEED = 11
 
 
 def serve_config(tmp_path, **overrides):
-    kwargs = dict(cache_dir=str(tmp_path / "cache"), shards=16,
-                  workers=0)
+    kwargs = dict(cache_dir=str(tmp_path / "cache"), workers=0)
     kwargs.update(overrides)
     return ServeConfig(**kwargs)
 

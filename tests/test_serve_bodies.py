@@ -6,11 +6,14 @@ what Python's :mod:`json` accepts and an HTTP client would never
 produce (``NaN``, ``Infinity``, bytes that are not UTF-8) reaches the
 daemon as it would from any tenant.  Every rejection is a 400 that
 names the key, queues nothing and does not count as a daemon error;
-``/dse`` also gets its first success test.
+``/dse`` also gets its first success test.  A head whose
+``Content-Length`` is too large (413) or not a byte count (400) is
+answered before any body is read, and the connection then closes.
 """
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -26,8 +29,7 @@ INLINE_SPACE = {"predictors": ["not-taken", "bimodal-512-512"],
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("serve-bodies")
-    config = ServeConfig(cache_dir=str(tmp / "cache"), shards=16,
-                         workers=0)
+    config = ServeConfig(cache_dir=str(tmp / "cache"), workers=0)
     with ServerThread(config) as st:
         yield st
 
@@ -132,3 +134,40 @@ def test_dse_inline_space_with_n_points_runs(server):
     assert done["meta"]["points"] == [p.key()
                                       for p in space.sample(3, 5)]
     assert all(rec["ok"] for rec in done["results"])
+
+
+def send_head(port: int, content_length: str):
+    """POST a request head alone, no body; the reply's head lines and
+    JSON body, read until the daemon closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(b"POST /run HTTP/1.1\r\nHost: test\r\n"
+                     b"Content-Length: %s\r\n\r\n" % content_length.encode())
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    assert reply, "empty reply"
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n"), json.loads(body)
+
+
+@pytest.mark.parametrize("length, status", [
+    pytest.param("1099511627776", 413, id="oversized"),
+    pytest.param(str(ServeConfig().max_body + 1), 413,
+                 id="one-over-max-body"),
+    pytest.param("9" * 5000, 413, id="more-digits-than-int-parses"),
+    pytest.param("abc", 400, id="not-an-integer"),
+    pytest.param("-5", 400, id="negative"),
+])
+def test_bad_content_length_is_answered_then_closed(server, length,
+                                                    status):
+    lines, answer = send_head(server.port, length)
+    assert lines[0].split()[1] == b"%d" % status, lines
+    assert b"Connection: close" in lines
+    assert answer["ok"] is False and answer["error"]
+    # the daemon serves the next connection and counts no error
+    with server.client() as client:
+        assert client.healthz()["ok"] is True
+        assert client.stats()["counters"]["errors"] == 0

@@ -64,8 +64,8 @@ def _arm(monkeypatch, tmp_path, fn):
 
 
 def serve_config(tmp_path, **overrides):
-    kwargs = dict(cache_dir=str(tmp_path / "cache"), shards=256,
-                  workers=2, task_timeout=6.0, retries=0)
+    kwargs = dict(cache_dir=str(tmp_path / "cache"), workers=2,
+                  task_timeout=6.0, retries=0)
     kwargs.update(overrides)
     return ServeConfig(**kwargs)
 
@@ -216,5 +216,5 @@ def test_corrupted_shard_entry_recomputed_not_returned(tmp_path):
             assert again["stats"]["cycles"] == truth
             assert client.stats()["cache"]["dropped"] == 1
             # the recomputed entry is valid on disk again
-            fresh = ResultCache(str(tmp_path / "cache"), shards=256)
+            fresh = ResultCache(str(tmp_path / "cache"))
             assert fresh.get(key).cycles == truth

@@ -213,8 +213,8 @@ def test_pruned_job_wal_removed(tmp_path):
 # daemon-level: restart completes the job, without recomputation
 # ----------------------------------------------------------------------
 def durable_config(tmp_path, **overrides):
-    kwargs = dict(cache_dir=str(tmp_path / "cache"), shards=16,
-                  workers=0, state_dir=str(tmp_path / "state"))
+    kwargs = dict(cache_dir=str(tmp_path / "cache"), workers=0,
+                  state_dir=str(tmp_path / "state"))
     kwargs.update(overrides)
     return ServeConfig(**kwargs)
 
@@ -251,7 +251,7 @@ def test_restart_with_warm_cache_recomputes_nothing(tmp_path):
     cache_dir = str(tmp_path / "cache")
     specs = [make_spec(i) for i in range(3)]
     from repro.runner import ResultCache
-    run_sweep(specs, cache=ResultCache(cache_dir, shards=16))
+    run_sweep(specs, cache=ResultCache(cache_dir))
 
     # crash with *nothing* journaled beyond the meta record
     store = JobStore(state_dir=str(tmp_path / "state"))

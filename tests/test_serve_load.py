@@ -32,8 +32,7 @@ MIN_CACHED_RPS = 1000.0
 
 @pytest.fixture
 def server(tmp_path):
-    config = ServeConfig(cache_dir=str(tmp_path / "cache"), shards=256,
-                         workers=0)
+    config = ServeConfig(cache_dir=str(tmp_path / "cache"), workers=0)
     with ServerThread(config) as st:
         yield st
 
@@ -103,8 +102,7 @@ class TestCoalescing:
             gate.wait(timeout=5.0)   # hold the leader so followers pile up
 
         config = ServeConfig(cache_dir=str(tmp_path / "cache"),
-                             shards=256, workers=0,
-                             on_execute=on_execute)
+                             workers=0, on_execute=on_execute)
         with ServerThread(config) as st:
             responses = []
             errors = []
@@ -155,7 +153,7 @@ class TestCoalescing:
         """Every retired engine name, and a body naming none, shares
         one key, so only the first request executes."""
         config = ServeConfig(cache_dir=str(tmp_path / "cache"),
-                             shards=256, workers=0)
+                             workers=0)
         with ServerThread(config) as st:
             client = st.client()
             first = client.run(spec_wire())
