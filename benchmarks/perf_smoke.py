@@ -21,8 +21,8 @@ front half (one pass plus the replay) must run at least
 trace, replay) on ADPCM.
 
 Last, the DSE: a ``GridSearch`` over the ``paper`` space, whose
-in-order points run untraced and read fold coverage off their stats,
-must return the objective vectors of the traced path (the oracle of
+points run untraced and read fold coverage off their stats, must
+return the objective vectors of the traced path (the oracle of
 ``tests/test_dse_engine.py``) and run at least
 :data:`MIN_DSE_SPEEDUP` times faster than it, both inline on ADPCM.
 

@@ -21,7 +21,7 @@ Usage (also installed as the ``repro-asbr`` console script)::
     python -m repro.cli faults report results/faults.json
     python -m repro.cli cache gc --cache-dir results/.runcache --max-bytes 64M
     python -m repro.cli cache verify --cache-dir results/.runcache
-    python -m repro.cli serve --port 8765 --workers 4 --cache-dir results/.servecache
+    python -m repro.cli serve --port 8765 --workers 4
 
 ``sim --asbr`` performs the paper's whole methodology on the program:
 profile it, select fold candidates, load the BIT, and re-simulate.
@@ -32,8 +32,9 @@ simulation.  ``faults campaign`` injects seeded soft errors into the
 ASBR state and classifies every one (:mod:`repro.faults`).  ``cache
 gc`` size-caps the on-disk result cache; ``cache verify`` checks every
 entry's payload checksum and prunes corruption.  Every command that
-takes ``--cache-dir`` reads and writes one layout, so they can share a
-directory (``REPRO_CACHE_DIR``).  ``serve`` runs the long-lived
+takes ``--cache-dir`` reads and writes one layout and defaults to one
+directory, ``results/.runcache`` (``REPRO_CACHE_DIR`` overrides it),
+so they share their entries.  ``serve`` runs the long-lived
 simulation daemon (:mod:`repro.serve`): JSON/HTTP submission of single
 runs, sweeps and DSE jobs with request coalescing, the shared result
 cache and streamed job progress; with ``--state-dir`` every job
@@ -60,6 +61,10 @@ from repro.predictors import make_predictor
 from repro.profiling import profile_and_select
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.pipeline import PipelineSimulator
+
+#: ``--cache-dir`` of every command that takes one, unless
+#: ``REPRO_CACHE_DIR`` is set: the CLI and the daemon share one cache
+DEFAULT_CACHE_DIR = "results/.runcache"
 
 
 def _load_program(path: str):
@@ -227,15 +232,16 @@ def cmd_workload(args) -> int:
                    with_asbr=args.asbr, bit_capacity=args.bit_size,
                    bdt_update=args.bdt_update)
     wl = get_workload(args.name)
-    asbr_bits = None
+    asbr_bits = selection = None
     if args.asbr:
         pcm = speech_like(args.samples, seed=args.seed)
-        print(_selection(spec, wl, pcm).describe(), file=sys.stderr)
+        selection = _selection(spec, wl, pcm)
+        print(selection.describe(), file=sys.stderr)
         asbr_bits = (args.bit_size * BITS_PER_ENTRY
                      + BranchDirectionTable().state_bits)
     tracer = _make_cli_tracer(args)
     try:
-        stats = _execute(spec, trace=tracer)
+        stats = _execute(spec, trace=tracer, selection=selection)
     except AssertionError as exc:         # outputs != golden model
         if tracer is not None:
             tracer.close()
@@ -535,6 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="ASBR toolchain (Petrov & Orailoglu, DAC 2001 "
                     "reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
+    cache_dir = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
 
     p = sub.add_parser("asm", help="assemble a program")
     p.add_argument("file")
@@ -595,9 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=int(os.environ.get("REPRO_WORKERS", "0")),
                    help="simulate independent configurations on N "
                         "processes (0/1 = inline; results identical)")
-    p.add_argument("--cache-dir",
-                   default=os.environ.get("REPRO_CACHE_DIR",
-                                          "results/.runcache"),
+    p.add_argument("--cache-dir", default=cache_dir,
                    help="on-disk result cache location (content-"
                         "addressed; safe to delete at any time)")
     p.add_argument("--no-cache", action="store_true",
@@ -650,9 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--expect-no-new", action="store_true",
                     help="fail if any evaluation was not served by the "
                          "journal (CI resume check)")
-    sp.add_argument("--cache-dir",
-                    default=os.environ.get("REPRO_CACHE_DIR",
-                                           "results/.runcache"),
+    sp.add_argument("--cache-dir", default=cache_dir,
                     help="on-disk run-result cache location")
     sp.add_argument("--no-cache", action="store_true",
                     help="disable the on-disk run-result cache")
@@ -724,9 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
     sp = cache_sub.add_parser("gc", help="LRU-by-mtime garbage "
                                          "collection")
-    sp.add_argument("--cache-dir",
-                    default=os.environ.get("REPRO_CACHE_DIR",
-                                           "results/.runcache"))
+    sp.add_argument("--cache-dir", default=cache_dir)
     sp.add_argument("--max-bytes",
                     help="size cap, e.g. 4096, 64M, 2G (omit to only "
                          "measure)")
@@ -735,9 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="scan entries: parse, version and "
                                    "payload-checksum checks; prunes "
                                    "bad entries unless --keep")
-    sp.add_argument("--cache-dir",
-                    default=os.environ.get("REPRO_CACHE_DIR",
-                                           "results/.runcache"))
+    sp.add_argument("--cache-dir", default=cache_dir)
     sp.add_argument("--keep", action="store_true",
                     help="report only; do not delete bad entries")
     sp.set_defaults(fn=cmd_cache_verify)
@@ -751,9 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int,
                    default=int(os.environ.get("REPRO_WORKERS", "0")),
                    help="pool size for sweep/DSE jobs (0/1 = inline)")
-    p.add_argument("--cache-dir",
-                   default=os.environ.get("REPRO_CACHE_DIR",
-                                          "results/.servecache"),
+    p.add_argument("--cache-dir", default=cache_dir,
                    help="on-disk result cache location; experiments "
                         "and dse run on the same directory share its "
                         "entries")

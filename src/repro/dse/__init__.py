@@ -10,8 +10,8 @@ whole space automatically:
 * :mod:`~repro.dse.search` — exhaustive, seeded-random and
   successive-halving drivers;
 * :mod:`~repro.dse.engine` — the evaluator: journal → runner cache →
-  worker pool, objectives extracted from stats (OoO fold coverage
-  from telemetry tables);
+  worker pool, every point untraced and its objectives read off its
+  stats;
 * :mod:`~repro.dse.objectives` — speedup, fold coverage, table cost in
   bits, activity-based energy;
 * :mod:`~repro.dse.pareto` — exact multi-objective frontiers;

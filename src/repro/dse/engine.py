@@ -8,11 +8,9 @@ simulator.  ``evaluate(points)`` resolves each point in three layers:
 2. **runner cache** — misses become :class:`~repro.runner.RunSpec`\\ s
    and go through :func:`repro.runner.run_sweep`, which consults the
    content-addressed on-disk cache;
-3. **simulation** — remaining distinct specs run on the worker pool.
-   In-order points run untraced and their fold coverage is read off
-   ``PipelineStats``; a batch holding an out-of-order point runs
-   traced, because OoO fold coverage still comes from the telemetry
-   branch tables (see :mod:`repro.dse.objectives`).
+3. **simulation** — remaining distinct specs run untraced on the
+   worker pool, and every objective, fold coverage included, is read
+   off the run's stats (see :mod:`repro.dse.objectives`).
 
 Every fresh result is reduced to an
 :class:`~repro.dse.objectives.ObjectiveVector` and journaled before
@@ -115,8 +113,7 @@ class Evaluator:
             self._baselines[n] = stats
             if self.journal is not None and not self._journal_get(
                     BASELINE_POINT, n):
-                vec = extract_objectives(BASELINE_POINT, stats, None,
-                                         baseline_stats=stats)
+                vec = extract_objectives(BASELINE_POINT, stats, stats)
                 self.journal.record_eval(BASELINE_POINT, self.benchmark,
                                          n, self.seed, vec)
         return self._baselines[n]
@@ -152,17 +149,14 @@ class Evaluator:
                     BASELINE_POINT, n) or EvalResult(
                         BASELINE_POINT, self.benchmark, n, self.seed,
                         extract_objectives(BASELINE_POINT, baseline,
-                                           None, baseline),
+                                           baseline),
                         from_journal=False)
                 self.simulated += 1
         if pending:
             specs = [p.to_spec(self.benchmark, n, self.seed)
                      for p in pending]
-            # only OoO fold coverage needs the telemetry tables;
-            # in-order batches never build a Tracer
-            traced = any(p.backend == "ooo" for p in pending)
             results = run_sweep(specs, workers=self.workers,
-                                cache=self.cache, collect_metrics=traced,
+                                cache=self.cache,
                                 task_timeout=self.task_timeout,
                                 retries=self.retries,
                                 on_error="return" if self.tolerant
@@ -178,8 +172,7 @@ class Evaluator:
                             p, self.benchmark, n, self.seed,
                             result.error, kind=result.kind)
                     continue
-                stats, metrics = result if traced else (result, None)
-                vec = extract_objectives(p, stats, metrics, baseline)
+                vec = extract_objectives(p, result, baseline)
                 if self.journal is not None:
                     self.journal.record_eval(p, self.benchmark, n,
                                              self.seed, vec)

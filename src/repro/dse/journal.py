@@ -34,8 +34,9 @@ from repro.wal import JsonlWal, load_jsonl
 #: any other meta key.  Bump it when the recorded objectives change
 #: meaning, so a resume or an experiment's re-render cannot replay
 #: values computed by an older model.  v2: energy read exactly off the
-#: stats record.
-JOURNAL_VERSION = 2
+#: stats record.  v3: out-of-order fold coverage counts committed
+#: branches only, read off the stats like the in-order one.
+JOURNAL_VERSION = 3
 
 
 class JournalMismatch(Exception):

@@ -7,14 +7,10 @@ Every evaluated design point is reduced to an :class:`ObjectiveVector`:
 * ``speedup`` — baseline cycles / point cycles, against the paper's
   reference core (``bimodal-2048``, no ASBR) on the same workload and
   input;
-* ``fold_coverage`` — committed folds / (committed folds + unfolded
-  branch executions): the fraction of dynamic conditional branches
-  ASBR removed from the pipeline.  Read off the stats
-  (``folds_committed`` / ``branches``), which count exactly these
-  events on the in-order pipeline, or from the run's telemetry tables
-  (:class:`~repro.telemetry.MetricsRegistry`) when the caller passes
-  them: the out-of-order backend's tables also count branches that a
-  later-squashed path resolved, so its stats differ from them;
+* ``fold_coverage`` — committed folds / (committed folds + committed
+  unfolded branches): the fraction of dynamic conditional branches
+  ASBR removed from the pipeline, read off the stats
+  (``folds_committed`` / ``branches``) of either machine;
 * ``table_bits`` — hardware cost of the prediction structures this
   point instantiates: predictor SRAM + BIT + BDT (paper Section 7's
   area argument);
@@ -33,7 +29,7 @@ the Pareto code (:mod:`repro.dse.pareto`) never hard-codes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.asbr.bit import BITS_PER_ENTRY
 from repro.asbr.bdt import BranchDirectionTable
@@ -152,25 +148,13 @@ def ooo_cost_bits(point: DesignPoint) -> int:
     return prf + map_table + free_list + rob + iq
 
 
-def fold_coverage(metrics: Optional[dict]) -> float:
-    """Dynamic-branch coverage from serialised telemetry tables (the
-    out-of-order runs' definition: see the module notes)."""
-    if not metrics:
-        return 0.0
-    from repro.telemetry import MetricsRegistry
-    registry = MetricsRegistry.from_dict(metrics)
-    folds = sum(b.fold_hits for b in registry.branches.values())
-    execs = sum(b.executions for b in registry.branches.values())
-    total = folds + execs
-    return folds / total if total else 0.0
-
-
-def stats_fold_coverage(stats: PipelineStats) -> float:
-    """Dynamic-branch coverage from run stats: the in-order pipeline
-    counts ``branches`` beside the EX handler's ``BRANCH`` emit and
-    ``folds_committed`` beside the ``COMMIT`` emit that carries a
-    ``fold_pc``, so on that machine this equals :func:`fold_coverage`
-    of the same run's telemetry by construction."""
+def fold_coverage(stats: PipelineStats) -> float:
+    """Dynamic-branch coverage from run stats.  Both machines count
+    ``branches`` beside their ``BRANCH`` emit and ``folds_committed``
+    beside the ``COMMIT`` emit that carries a ``fold_pc``, so this
+    equals the coverage of the same run's telemetry branch tables by
+    construction (the out-of-order machine emits ``BRANCH`` at commit,
+    so a branch on a squashed path counts in neither)."""
     total = stats.folds_committed + stats.branches
     return stats.folds_committed / total if total else 0.0
 
@@ -194,21 +178,15 @@ def point_energy(point: DesignPoint, stats: PipelineStats) -> float:
 
 
 def extract_objectives(point: DesignPoint, stats: PipelineStats,
-                       metrics: Optional[dict],
                        baseline_stats: PipelineStats) -> ObjectiveVector:
-    """Reduce one evaluated run to its objective vector.
-
-    ``fold_coverage`` comes from the telemetry ``metrics`` when given,
-    else from ``stats`` (in-order runs only: see the module notes).
-    """
+    """Reduce one evaluated run to its objective vector."""
     speedup = baseline_stats.cycles / stats.cycles if stats.cycles \
         else 0.0
     return ObjectiveVector(
         cycles=stats.cycles,
         cpi=stats.cpi,
         speedup=speedup,
-        fold_coverage=(fold_coverage(metrics) if metrics is not None
-                       else stats_fold_coverage(stats)),
+        fold_coverage=fold_coverage(stats),
         table_bits=table_cost_bits(point),
         energy=point_energy(point, stats),
     )

@@ -190,16 +190,16 @@ class _Context:
 
     Built once per (benchmark, input, ASBR config).  The reference run
     is the campaign's configuration as a :class:`~repro.runner.RunSpec`
-    through :func:`~repro.runner.execute_spec`, and the BIT's branches
-    come from the same executor's front half.  Every injection then
-    costs one pipeline run with a fresh predictor and a fresh ASBR unit
-    (tables are mutable state — a corrupted run must never leak into
-    the next one), the injector's hook and the watchdog budget.
+    through the executor, handed the BIT's branches that its front half
+    selected here, so the program is profiled once.  Every injection
+    then costs one pipeline run with a fresh predictor and a fresh ASBR
+    unit (tables are mutable state — a corrupted run must never leak
+    into the next one), the injector's hook and the watchdog budget.
     """
 
     def __init__(self, cfg: CampaignConfig) -> None:
         from repro.predictors import make_predictor
-        from repro.runner.pool import RunSpec, _selection, execute_spec
+        from repro.runner.pool import RunSpec, _execute, _selection
         from repro.sim.pipeline import PipelineConfig
         from repro.workloads import get_workload, speech_like
 
@@ -213,8 +213,9 @@ class _Context:
                        seed=cfg.seed, predictor_spec=cfg.predictor_spec,
                        with_asbr=True, bit_capacity=cfg.bit_capacity,
                        bdt_update=cfg.bdt_update)
-        self.infos = _selection(spec, self.wl, self.pcm).infos
-        self.ref_stats = execute_spec(spec)
+        selection = _selection(spec, self.wl, self.pcm)
+        self.infos = selection.infos
+        self.ref_stats = _execute(spec, selection=selection)
         self.watchdog = PipelineConfig(
             max_cycles=self.ref_stats.cycles * 4 + _WATCHDOG_SLACK)
 

@@ -18,17 +18,12 @@ configurations.  This package turns those requests into:
   re-run of a figure with unchanged code and inputs costs one file read
   per configuration;
 * :func:`~repro.runner.sweep.run_sweep` — the orchestration glue:
-  dedupe, consult the cache, compute misses in parallel, refill;
-* :func:`~repro.runner.aggregate.aggregate_metrics` — merge the
-  per-run telemetry tables of a metric sweep
-  (``run_sweep(..., collect_metrics=True)``) into one
-  :class:`~repro.telemetry.MetricsRegistry` per benchmark.
+  dedupe, consult the cache, compute misses in parallel, refill.
 
 ``repro.experiments.common.ExperimentSetup`` submits its runs through
 here; ``repro.cli experiments --workers N`` exposes it to users.
 """
 
-from repro.runner.aggregate import aggregate_metrics
 from repro.runner.cache import (
     CACHE_VERSION,
     GCResult,
@@ -59,7 +54,6 @@ __all__ = [
     "TaskTimeout",
     "VerifyResult",
     "parse_size",
-    "aggregate_metrics",
     "execute_spec",
     "execute_spec_metrics",
     "key_for_spec",

@@ -63,8 +63,10 @@ from repro.sim.pipeline import PipelineStats
 #: config digest; v6 added the out-of-order backend knobs
 #: (backend/issue_width/rob_size/iq_size/phys_regs) and the per-entry
 #: stats kind (``"pipeline"`` | ``"ooo"``); v7 added the stats' cache
-#: and fold counters (the energy model's inputs).
-CACHE_VERSION = 7
+#: and fold counters (the energy model's inputs); v8: out-of-order
+#: ``metrics`` blocks count committed branches only and split folds by
+#: direction.
+CACHE_VERSION = 8
 
 #: Entry ``kind`` → stats dataclass.
 _STATS_TYPES = {"pipeline": PipelineStats, "ooo": OoOStats}

@@ -121,7 +121,7 @@ def _selection(spec: RunSpec, wl, pcm):
     profile's trace and selects under the spec's policy knobs.  Callers
     that report the selection (``repro workload``) or rebuild the unit
     per run (the fault campaign) call this with the spec's workload and
-    input.
+    input, then hand the result to :func:`_execute`.
     """
     from repro.profiling import profile_and_select
 
@@ -132,18 +132,19 @@ def _selection(spec: RunSpec, wl, pcm):
                               min_count=spec.min_count).selection
 
 
-def _execute(spec: RunSpec, trace=None) -> PipelineStats:
+def _execute(spec: RunSpec, trace=None, selection=None) -> PipelineStats:
     """Shared body of :func:`execute_spec` / :func:`execute_spec_metrics`.
 
     The one code path that turns a configuration into verified stats:
     every experiment (through ``ExperimentSetup.run`` or
     :func:`repro.runner.run_sweep`), the DSE, ``repro workload``, the
     serve daemon and the fault campaign's reference run come here.
-    For ASBR configurations the BIT is loaded from :func:`_selection`.
-    The run's outputs are checked against the workload's golden model;
-    a mismatch raises ``AssertionError`` (and is therefore never
-    cached).  ``trace`` (a :class:`repro.telemetry.Tracer`) traces the
-    run.
+    For ASBR configurations the BIT is loaded from ``selection``, the
+    spec's :func:`_selection`, which is made here when the caller has
+    not made it already.  The run's outputs are checked against the
+    workload's golden model; a mismatch raises ``AssertionError`` (and
+    is therefore never cached).  ``trace`` (a
+    :class:`repro.telemetry.Tracer`) traces the run.
     """
     from repro.asbr import ASBRUnit
     from repro.predictors import make_predictor
@@ -153,7 +154,9 @@ def _execute(spec: RunSpec, trace=None) -> PipelineStats:
     pcm = speech_like(spec.n_samples, spec.seed)
     asbr = None
     if spec.with_asbr:
-        asbr = ASBRUnit.from_branch_infos(_selection(spec, wl, pcm).infos,
+        if selection is None:
+            selection = _selection(spec, wl, pcm)
+        asbr = ASBRUnit.from_branch_infos(selection.infos,
                                           capacity=spec.bit_capacity,
                                           bdt_update=spec.bdt_update)
     frontend = None

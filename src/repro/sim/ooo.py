@@ -69,6 +69,11 @@ retirement stream on the seeded ~200-program differential sweep
 Telemetry uses the guarded-emit pattern of :mod:`repro.frontend`
 (``self._emit`` is None until a tracer attaches): rename/issue/wakeup/
 commit/recovery events with bit-identical stats traced or not.
+``branch`` is emitted when the branch commits, beside ``stats.branches
++= 1``, and a fold's ``commit`` carries ``fold_taken``, so the
+telemetry branch tables count exactly what :class:`OoOStats` counts:
+a branch resolved on a path that an older mispredict later squashes
+emits nothing.
 """
 
 from __future__ import annotations
@@ -115,6 +120,7 @@ from repro.telemetry.events import (
     RENAME_ALLOC,
     SQUASH,
     SQUASH_DEPTH,
+    NO_DATA,
     TraceEvent,
     emit_fetch,
     emit_fold_hit,
@@ -238,7 +244,7 @@ class _Op:
         self.checkpoint: Optional[List[int]] = None
         self.is_br = False
         self.mispredicted = False
-        self.taken = False
+        self.taken = False          # a fold's: the folded branch's direction
         self.bdt_ready: Optional[int] = None   # cycle the release may apply
         self.ready_cycle = 0                   # rename may consume from here
 
@@ -444,12 +450,6 @@ class OoOSimulator:
         actual = d.br_target if op.taken else d.pc4
         self.predictor.update(op.pc, op.taken, d.br_target)
         self._unresolved_br.pop(op.seq, None)
-        if self._emit is not None:
-            self._emit(TraceEvent(cycle, BRANCH, op.pc, op.seq,
-                                  {"taken": op.taken, "target": actual,
-                                   "pred": op.pred_next_pc,
-                                   "misp": actual != op.pred_next_pc,
-                                   "srcs": list(d.srcs)}))
         if actual != op.pred_next_pc:
             op.mispredicted = True
             self._recover(op, actual, cycle)
@@ -554,6 +554,16 @@ class OoOSimulator:
                 stats.branches += 1
                 if op.mispredicted:
                     stats.branch_mispredicts += 1
+                if emit is not None:
+                    # emitted at commit, not at resolution: a branch
+                    # that an older mispredict squashes never commits
+                    emit(TraceEvent(stats.cycles, BRANCH, op.pc, op.seq,
+                                    {"taken": op.taken,
+                                     "target": d.br_target if op.taken
+                                     else d.pc4,
+                                     "pred": op.pred_next_pc,
+                                     "misp": op.mispredicted,
+                                     "srcs": list(d.srcs)}))
             stats.committed += 1
             if op.acquired_reg is not None and self._bdt_commit:
                 op.bdt_ready = stats.cycles
@@ -562,11 +572,11 @@ class OoOSimulator:
                     log.append(op.fold_pc)
                 log.append(op.pc)
             if emit is not None:
-                data = {}
+                data = NO_DATA
                 if op.folded:
-                    data = {"fold_pc": op.fold_pc}
+                    data = {"fold_pc": op.fold_pc, "fold_taken": op.taken}
                 elif op.uncond_folded:
-                    data = {"uncond_fold": True, "fold_pc": op.fold_pc}
+                    data = {"uncond_fold": True}
                 emit(TraceEvent(stats.cycles, COMMIT, op.pc, op.seq,
                                 data))
             if d.is_halt:
@@ -784,6 +794,7 @@ class OoOSimulator:
                         op = self._new_op(fd, fold.instr_pc)
                         op.folded = True
                         op.fold_pc = pc
+                        op.taken = fold.taken
                         if not self._acquire(op):
                             self._unfetch(op)
                             return
@@ -903,6 +914,7 @@ class OoOSimulator:
                     op = self._new_op(fd, fold.instr_pc)
                     op.folded = True
                     op.fold_pc = entry.pc
+                    op.taken = fold.taken
                     if not self._acquire(op):
                         self._unfetch(op)
                         fe.redirect(entry.pc)

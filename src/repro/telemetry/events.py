@@ -14,11 +14,13 @@ kind           meaning / payload (``data`` keys)
 ``issue``      EX-stage work ran; ``data["dest"]`` is the destination
                register when the instruction writes one.
 ``commit``     the instruction reached write-back.  Folded
-               replacements carry ``fold_pc``/``fold_taken``;
-               CRISP-style folds carry ``uncond_fold``.
+               replacements carry ``fold_pc``/``fold_taken`` on both
+               machines; CRISP-style folds carry ``uncond_fold``.
 ``branch``     a conditional branch resolved in EX: ``taken``,
                ``target`` (actual next PC), ``pred`` (the fetch-stage
                assumption), ``misp`` and ``srcs`` (condition regs).
+               The out-of-order machine emits it when the branch
+               commits, so it covers committed branches only.
 ``fold_hit``   the ASBR unit folded the branch at ``pc`` out of the
                fetch stream: ``taken``, ``instr_pc``, ``next_pc``.
 ``fold_miss``  a branch hit fetch with the ASBR unit present but was

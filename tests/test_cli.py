@@ -83,6 +83,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache"])
 
+    def test_every_cache_dir_defaults_alike(self, monkeypatch):
+        """Run from one directory, the daemon and the CLI share one
+        cache unless told otherwise."""
+        import repro.cli
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        parser = build_parser()
+        dirs = {parser.parse_args(argv).cache_dir for argv in (
+            ["experiments", "fig11"], ["dse", "run"], ["cache", "gc"],
+            ["cache", "verify"], ["serve"])}
+        assert dirs == {repro.cli.DEFAULT_CACHE_DIR}
+
     def test_serve_has_no_layout_flag(self):
         """Every cache handle shares one layout, so no flag picks one."""
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ configuration as a non-dominated point, and a resumed run that performs
 zero new simulator executions yet reproduces the identical frontier.
 """
 
+import dataclasses
 import json
 import os
 
@@ -22,13 +23,12 @@ from repro.dse import (
     RandomSearch,
     SuccessiveHalving,
     extract_objectives,
-    fold_coverage,
     frontier_of,
     make_search,
     paper_space,
 )
-from repro.dse.objectives import stats_fold_coverage
 from repro.runner import ResultCache, execute_spec_metrics, run_sweep
+from repro.telemetry import MetricsRegistry
 
 BENCH, N, SEED = "adpcm_enc", 64, 11
 
@@ -315,22 +315,36 @@ class TestTolerantEvaluation:
 # untraced evaluation: fold coverage from stats, telemetry as the oracle
 # ----------------------------------------------------------------------
 def traced_objectives(points, benchmark, n, seed):
-    """Objective vectors as the traced path computes them: the baseline
+    """Objective vectors as a traced run computes them: the baseline
     and every distinct point run through ``execute_spec_metrics``, and
-    fold coverage comes from the telemetry tables."""
+    fold coverage is read off the telemetry branch tables, committed
+    folds / (committed folds + branch executions)."""
     runs = {p: execute_spec_metrics(p.to_spec(benchmark, n, seed))
             for p in dict.fromkeys([BASELINE_POINT, *points])}
     base = runs[BASELINE_POINT][0]
-    return [extract_objectives(p, *runs[p], base) for p in points]
+    out = []
+    for p in points:
+        stats, metrics = runs[p]
+        rows = MetricsRegistry.from_dict(metrics).branches.values()
+        folds = sum(b.fold_hits for b in rows)
+        total = folds + sum(b.executions for b in rows)
+        out.append(dataclasses.replace(
+            extract_objectives(p, stats, base),
+            fold_coverage=folds / total if total else 0.0))
+    return out
 
 
-def in_order_spaces():
+def dse_spaces():
+    """The paper space and the quick spaces of E5 and E6."""
     from repro.experiments.frontend_frontier import frontend_space
-    return {"paper": paper_space(), "frontend": frontend_space(quick=True)}
+    from repro.experiments.ooo_fold_sensitivity import ooo_space
+    return {"paper": paper_space(), "frontend": frontend_space(quick=True),
+            "ooo": ooo_space(quick=True)}
 
 
-#: an OoO point whose telemetry and stats disagree on fold coverage:
-#: the OoO tables also count 14 branches resolved on squashed paths
+#: an OoO point on which, before the OoO machine emitted ``BRANCH`` at
+#: commit, telemetry and stats disagreed on fold coverage (the tables
+#: also counted 14 branches resolved on squashed paths: 0.277184)
 OOO_POINT = DesignPoint(predictor_spec="bimodal-512-512", backend="ooo",
                         issue_width=1)
 OOO_BENCH, OOO_N, OOO_SEED = "huffman_dec", 150, 7
@@ -351,6 +365,12 @@ def forbid_tracing(monkeypatch):
     monkeypatch.setattr(Tracer, "__init__", _forbidden)
 
 
+def grid_never_traces(space, tmp_path, monkeypatch):
+    forbid_tracing(monkeypatch)
+    ev = make_evaluator(tmp_path)
+    assert len(GridSearch().run(ev, space)) == len(space.points())
+
+
 def forbid_simulation(monkeypatch):
     """Fail any run at all: every result must come from the cache."""
     import repro.runner.pool
@@ -360,14 +380,14 @@ def forbid_simulation(monkeypatch):
 
 
 class TestUntracedObjectives:
-    """In-order points run untraced; the traced path is the oracle."""
+    """Every point runs untraced; the traced path is the oracle."""
 
     N, SEED = 48, 5
 
-    @pytest.mark.parametrize("space", ["paper", "frontend"])
+    @pytest.mark.parametrize("space", ["paper", "frontend", "ooo"])
     @pytest.mark.parametrize("bench", ["adpcm_enc", "huffman_dec"])
     def test_equal_to_telemetry_oracle(self, bench, space):
-        space = in_order_spaces()[space]
+        space = dse_spaces()[space]
         ev = Evaluator(bench, self.N, self.SEED)
         got = [r.objectives for r in GridSearch().run(ev, space)]
         assert got == traced_objectives(space.points(), bench, self.N,
@@ -377,19 +397,16 @@ class TestUntracedObjectives:
     @pytest.mark.parametrize("space", ["paper", "frontend"])
     def test_in_order_grid_never_traces(self, space, tmp_path,
                                         monkeypatch):
-        forbid_tracing(monkeypatch)
-        ev = make_evaluator(tmp_path)
-        space = in_order_spaces()[space]
-        assert len(GridSearch().run(ev, space)) == len(space.points())
+        grid_never_traces(dse_spaces()[space], tmp_path, monkeypatch)
 
-    def test_ooo_point_keeps_telemetry_value(self):
+    def test_ooo_grid_never_traces(self, tmp_path, monkeypatch):
+        grid_never_traces(dse_spaces()["ooo"], tmp_path, monkeypatch)
+
+    def test_ooo_point_equals_telemetry_oracle(self):
         r, = Evaluator(OOO_BENCH, OOO_N, OOO_SEED).evaluate([OOO_POINT])
-        stats, metrics = execute_spec_metrics(
-            OOO_POINT.to_spec(OOO_BENCH, OOO_N, OOO_SEED))
-        assert r.objectives.fold_coverage == fold_coverage(metrics)
-        assert r.objectives.fold_coverage == pytest.approx(0.277184,
-                                                           abs=1e-6)
-        assert stats_fold_coverage(stats) == pytest.approx(0.280686,
+        assert [r.objectives] == traced_objectives(
+            [OOO_POINT], OOO_BENCH, OOO_N, OOO_SEED)
+        assert r.objectives.fold_coverage == pytest.approx(0.280686,
                                                            abs=1e-6)
 
 
@@ -411,15 +428,16 @@ class TestCacheCompatibility:
         assert (cache.hits, cache.misses) == (len(points), 0)
         assert got == want
 
-    def test_ooo_entry_without_metrics_resimulates(self, tmp_path):
+    def test_ooo_entry_without_metrics_is_a_hit(self, tmp_path,
+                                                 monkeypatch):
         cache = ResultCache(str(tmp_path / "cache"))
         specs = [p.to_spec(OOO_BENCH, OOO_N, OOO_SEED)
                  for p in (BASELINE_POINT, OOO_POINT)]
         run_sweep(specs, cache=cache)           # stats only, untraced
+        forbid_simulation(monkeypatch)
         cache = ResultCache(str(tmp_path / "cache"))
         ev = Evaluator(OOO_BENCH, OOO_N, OOO_SEED, cache=cache)
         r, = ev.evaluate([OOO_POINT])
-        # the baseline is a hit; the OoO entry lacks metrics: a miss
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert r.objectives.fold_coverage == pytest.approx(0.277184,
+        assert (cache.hits, cache.misses) == (2, 0)
+        assert r.objectives.fold_coverage == pytest.approx(0.280686,
                                                            abs=1e-6)

@@ -1,6 +1,6 @@
 """Telemetry contracts of the out-of-order backend.
 
-Two locks, mirroring the in-order pipeline's telemetry tests:
+Two locks mirror the in-order pipeline's telemetry tests:
 
 * **traced ≡ plain** — attaching a :class:`Tracer` must not perturb a
   single stats field, so cached metric-less results and traced reruns
@@ -8,15 +8,23 @@ Two locks, mirroring the in-order pipeline's telemetry tests:
 * the event stream must carry the OoO lifecycle (rename_alloc,
   iq_wakeup, issue, commit, checkpoint_restore, squash_depth) with
   cycles/seqs consistent enough for the ASCII pipeview to reconstruct
-  out-of-order issue against in-order commit.
+  out-of-order issue against in-order commit;
+
+and the reconciliation lock: the per-branch tables a run's events
+build count exactly the branches, mispredicts and folds its
+:class:`OoOStats` count, so fold coverage has one definition.
 """
 
 import dataclasses
+from collections import Counter
+
+import pytest
 
 from repro.asbr import ASBRUnit, FoldabilityError, extract_branch_info
+from repro.runner.pool import RunSpec, _execute
 from repro.sim.ooo import OoOConfig, OoOSimulator
 from repro.sim.pipeline import PipelineSimulator
-from repro.telemetry import Tracer
+from repro.telemetry import MetricsRegistry, Tracer
 from repro.telemetry import events as ev
 from repro.telemetry.sinks import RingBufferSink
 from repro.telemetry.timeline import lifecycle_cycles, render_pipeview
@@ -101,3 +109,55 @@ def test_pipeview_flags_ooo_issue():
     ring = RingBufferSink(capacity=1_000_000)
     PipelineSimulator(prog, trace=Tracer(ring)).run()
     assert "<ooo" not in render_pipeview(ring.events, limit=200)
+
+
+# ----------------------------------------------------------------------
+# the branch tables reconcile with OoOStats
+# ----------------------------------------------------------------------
+def assert_tables_reconcile(stats, registry, events):
+    """The telemetry branch tables count what the stats count: every
+    committed branch once (never one an older mispredict squashed),
+    and every committed fold once, filed under the direction its
+    ``fold_hit`` event folded it."""
+    rows = registry.branches
+    assert sum(b.executions for b in rows.values()) == stats.branches
+    assert sum(b.mispredicts for b in rows.values()) \
+        == stats.branch_mispredicts
+    assert sum(b.fold_hits for b in rows.values()) == stats.folds_committed
+    hit_taken = {e.seq: e.data["taken"] for e in events
+                 if e.kind == ev.FOLD_HIT}
+    taken = Counter(e.data["fold_pc"] for e in events
+                    if e.kind == ev.COMMIT and "fold_pc" in e.data
+                    and hit_taken[e.seq])
+    assert {pc: b.fold_taken for pc, b in rows.items() if b.fold_taken} \
+        == dict(taken)
+
+
+@pytest.mark.parametrize("fdip", [False, True], ids=["coupled", "fdip"])
+@pytest.mark.parametrize("asbr", [False, True], ids=["plain", "asbr"])
+@pytest.mark.parametrize("width", [1, 2, 4])
+@pytest.mark.parametrize("bench", ["huffman_dec", "adpcm_enc"])
+def test_branch_tables_reconcile_with_stats(bench, width, asbr, fdip):
+    spec = RunSpec(bench, 48, 7, "bimodal-512-512", with_asbr=asbr,
+                   backend="ooo", issue_width=width, frontend=fdip,
+                   fdip=fdip)
+    registry = MetricsRegistry()
+    ring = RingBufferSink(capacity=1_000_000)
+    stats = _execute(spec, trace=Tracer(registry, ring))
+    assert_tables_reconcile(stats, registry, ring.events)
+    if asbr and width == 1:            # wider machines may fold nothing
+        assert stats.folds_committed > 0
+
+
+def test_unconditional_folds_stay_out_of_the_branch_tables():
+    uncond = 0
+    for seed in range(6):
+        prog = random_program(seed, units=14)
+        registry = MetricsRegistry()
+        ring = RingBufferSink(capacity=1_000_000)
+        stats = OoOSimulator(prog, asbr=_asbr_for(prog),
+                             fold_unconditional=True,
+                             trace=Tracer(registry, ring)).run()
+        assert_tables_reconcile(stats, registry, ring.events)
+        uncond += stats.uncond_folds_committed
+    assert uncond > 0

@@ -17,12 +17,12 @@ import os
 
 import pytest
 
+import repro.runner.cache
 from repro.experiments.common import ExperimentSetup
 from repro.runner import (
     CACHE_VERSION,
     ResultCache,
     RunSpec,
-    aggregate_metrics,
     execute_spec,
     execute_spec_metrics,
     key_for_spec,
@@ -80,7 +80,8 @@ def test_key_changes_with_each_digest_component():
 
 #: key_for_spec hex digests recorded at CACHE_VERSION 7 while the
 #: config digest still listed the RunSpec fields by hand; reading them
-#: off the dataclass must key every spec as before
+#: off the dataclass must key every spec as before.  The lock is about
+#: which fields enter the digest, so it recomputes them at version 7
 LOCKED_KEYS = [
     (RunSpec("adpcm_enc", 600, 20010618, "bimodal-512-512"),
      "3860df769cebefadb56344bd792420f5f6f33e49224ed3fd6c5ed1333060e8bb"),
@@ -99,9 +100,12 @@ LOCKED_KEYS = [
 @pytest.mark.parametrize("spec, key", LOCKED_KEYS,
                          ids=["plain", "asbr-mem", "frontend-fdip",
                               "ooo-4wide"])
-def test_cache_key_locked(spec, key):
-    assert CACHE_VERSION == 7
+def test_cache_key_locked(spec, key, monkeypatch):
+    assert CACHE_VERSION == 8
+    current = key_for_spec(spec)
+    monkeypatch.setattr(repro.runner.cache, "CACHE_VERSION", 7)
     assert key_for_spec(spec) == key
+    assert current != key
 
 
 # ----------------------------------------------------------------------
@@ -239,15 +243,50 @@ def test_metric_sweep_caches_and_upgrades(tmp_path):
     assert warm.get(key) is not None
 
 
-def test_aggregate_metrics_merges_per_benchmark():
-    specs = [spec_of(), RunSpec("adpcm_enc", N, SEED + 1, "not-taken")]
-    results = run_sweep(specs, collect_metrics=True)
-    merged = aggregate_metrics(specs, [m for _, m in results])
-    assert set(merged) == {"adpcm_enc"}
-    total = sum(stats.branches for stats, _ in results)
-    assert merged["adpcm_enc"].total_branch_executions == total
-    with pytest.raises(ValueError):
-        aggregate_metrics(specs, [None])
+# ----------------------------------------------------------------------
+# one front half per caller
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def profile_calls(monkeypatch):
+    """Every call of the front half, ``profile_and_select``, from here on."""
+    import repro.profiling
+
+    calls = []
+    real = repro.profiling.profile_and_select
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(repro.profiling, "profile_and_select", counting)
+    return calls
+
+
+def test_execute_spec_profiles_once(profile_calls):
+    assert execute_spec(spec_of("bimodal-512-512", asbr=True)).cycles > 0
+    assert len(profile_calls) == 1
+
+
+def test_workload_command_profiles_once(profile_calls, capsys):
+    """``repro workload --asbr`` prints the selection it simulates."""
+    from repro.cli import main
+
+    assert main(["workload", "adpcm_enc", "--samples", str(N),
+                 "--seed", str(SEED), "--asbr"]) == 0
+    out = capsys.readouterr()
+    assert "outputs match golden model: True" in out.out
+    assert out.err.strip()
+    assert len(profile_calls) == 1
+
+
+def test_fault_campaign_context_profiles_once(profile_calls):
+    """The campaign's reference run simulates the BIT it injects into."""
+    from repro.faults.campaign import CampaignConfig, _Context
+
+    ctx = _Context(CampaignConfig(n_samples=N, seed=SEED, bit_capacity=8,
+                                  n_faults=2))
+    assert ctx.infos and ctx.ref_stats.cycles > 0
+    assert len(profile_calls) == 1
 
 
 # ----------------------------------------------------------------------
