@@ -7,12 +7,12 @@ before the fetch stage):
    are installed into the I-cache through its prefetch port (no demand
    accounting);
 2. **BPU** — the branch-prediction unit walks the static decode table
-   up to ``bpu_width`` instructions ahead of fetch, consulting the
+   up to :data:`BPU_WIDTH` instructions ahead of fetch, consulting the
    direction predictor and the :class:`~repro.frontend.btb.TwoLevelBTB`
    for targets, and pushes one :class:`~repro.frontend.ftq.FTQEntry`
    per instruction.  It stops at anything it cannot run past (indirect
    jumps, halt, off-text PCs) by marking the FTQ unresolved;
-3. **FDIP issue** — up to ``fdip_degree`` I-cache block prefetches are
+3. **FDIP issue** — up to :data:`FDIP_DEGREE` I-cache block prefetches are
    launched for newly-enqueued FTQ entries ("Fetch-Directed Instruction
    Prefetching Revisited", PAPERS.md).
 
@@ -49,27 +49,24 @@ from repro.telemetry.events import (
     TraceEvent,
 )
 
+#: instructions the BPU predicts per cycle; > 1 lets it outrun the
+#: single-issue fetch stage and build up FTQ slack for FDIP
+BPU_WIDTH = 2
+#: prefetches FDIP may issue per cycle
+FDIP_DEGREE = 2
+
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    """Knobs of the decoupled front end (the DSE dimensions + widths)."""
+    """Knobs of the decoupled front end (the DSE dimensions)."""
 
     btb_l1_entries: int = 64
     btb_l2_entries: int = 2048
     btb_l2_assoc: int = 4
     ftq_depth: int = 8
     fdip: bool = True
-    #: instructions the BPU predicts per cycle; > 1 lets it outrun the
-    #: single-issue fetch stage and build up FTQ slack for FDIP
-    bpu_width: int = 2
-    #: prefetches FDIP may issue per cycle
-    fdip_degree: int = 2
 
     def __post_init__(self) -> None:
-        if self.bpu_width <= 0:
-            raise ValueError("bpu_width must be positive")
-        if self.fdip_degree <= 0:
-            raise ValueError("fdip_degree must be positive")
         # delegate table-shape validation to the structures themselves
         TwoLevelBTB(self.btb_l1_entries, self.btb_l2_entries,
                     self.btb_l2_assoc)
@@ -168,7 +165,7 @@ class DecoupledFrontend:
                                         "depth": self.ftq.depth}))
 
     def _bpu_step(self) -> None:
-        """Predict up to ``bpu_width`` instructions ahead of fetch."""
+        """Predict up to :data:`BPU_WIDTH` instructions ahead of fetch."""
         ftq = self.ftq
         if ftq.unresolved:
             return
@@ -177,7 +174,7 @@ class DecoupledFrontend:
         base = sim._text_base
         end = sim._text_end
         stats = self.stats
-        for _ in range(self.config.bpu_width):
+        for _ in range(BPU_WIDTH):
             if ftq.full:
                 return
             pc = self.bpu_pc
@@ -188,37 +185,18 @@ class DecoupledFrontend:
                 return
             d = dec[(pc - base) >> 2]
 
-            uf = d.uncond_fold           # CRISP fold resolved statically
-            if uf is not None:
-                _td, tpc, next_pc = uf
-                ftq.push(FTQEntry(tpc, pc, next_pc, False, True))
-                stats.ftq_pushes += 1
-                self._fdip_note(pc)
-                self.bpu_pc = next_pc
-                continue
-
+            nxt = d.pc4
             if d.is_branch:
                 pred = sim.predictor.predict(pc)
                 sim.stats.predictor_lookups += 1
                 target = self._btb_lookup(pc)
-                nxt = target if pred.taken and target is not None \
-                    else d.pc4
-                ftq.push(FTQEntry(pc, pc, nxt, True, False))
-                stats.ftq_pushes += 1
-                self._fdip_note(pc)
-                self.bpu_pc = nxt
-                continue
-
-            if d.is_jump:                # j/jal: target only via the BTB
+                if pred.taken and target is not None:
+                    nxt = target
+            elif d.is_jump:              # j/jal: target only via the BTB
                 target = self._btb_lookup(pc)
-                nxt = target if target is not None else d.pc4
-                ftq.push(FTQEntry(pc, pc, nxt, False, False))
-                stats.ftq_pushes += 1
-                self._fdip_note(pc)
-                self.bpu_pc = nxt
-                continue
-
-            ftq.push(FTQEntry(pc, pc, d.pc4, False, False))
+                if target is not None:
+                    nxt = target
+            ftq.push(FTQEntry(pc, nxt))
             stats.ftq_pushes += 1
             self._fdip_note(pc)
             k = d.instr.spec.kind
@@ -227,7 +205,7 @@ class DecoupledFrontend:
                 # BPU just cannot predict what follows it
                 ftq.mark_unresolved()
                 return
-            self.bpu_pc = d.pc4
+            self.bpu_pc = nxt
 
     def _btb_lookup(self, pc: int) -> Optional[int]:
         target, level = self.btb.lookup(pc)
@@ -264,7 +242,7 @@ class DecoupledFrontend:
         penalty = cache.config.miss_penalty
         pending = self._pending
         issued = 0
-        while pending and issued < self.config.fdip_degree:
+        while pending and issued < FDIP_DEGREE:
             block = pending.popleft()
             addr = block << self._block_shift
             if block in self._inflight or cache.contains(addr):
@@ -362,7 +340,6 @@ class DecoupledFrontend:
         """
         head = self.ftq.head()
         if (head is not None and head.pc == fold.instr_pc
-                and not head.uncond_fold
                 and head.pred_next_pc == fold.next_pc):
             self.ftq.pop()
             return

@@ -23,23 +23,14 @@ from typing import Optional
 class FTQEntry:
     """One predicted fetch: where to fetch, and where fetch goes next."""
 
-    __slots__ = ("pc", "fetch_addr", "pred_next_pc", "is_branch",
-                 "uncond_fold")
+    __slots__ = ("pc", "pred_next_pc")
 
-    def __init__(self, pc: int, fetch_addr: int, pred_next_pc: int,
-                 is_branch: bool = False,
-                 uncond_fold: bool = False) -> None:
-        self.pc = pc                      # PC entering the pipeline
-        self.fetch_addr = fetch_addr      # address the I-cache sees
+    def __init__(self, pc: int, pred_next_pc: int) -> None:
+        self.pc = pc                      # PC fetched from the I-cache
         self.pred_next_pc = pred_next_pc  # BPU's next-fetch assumption
-        self.is_branch = is_branch        # conditional: predictor consulted
-        self.uncond_fold = uncond_fold    # CRISP fold: pc is the target
 
     def __repr__(self) -> str:
-        return ("FTQEntry(pc=0x%x, next=0x%x%s%s)"
-                % (self.pc, self.pred_next_pc,
-                   ", br" if self.is_branch else "",
-                   ", uncond" if self.uncond_fold else ""))
+        return "FTQEntry(pc=0x%x, next=0x%x)" % (self.pc, self.pred_next_pc)
 
 
 class FetchTargetQueue:

@@ -108,6 +108,10 @@ def _fix_lh(v: int) -> int:
     return (v - 0x10000) & MASK32 if v & 0x8000 else v
 
 
+#: load/store mnemonic -> access width in bytes
+LOAD_SIZE = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}
+STORE_SIZE = {"sb": 1, "sh": 2, "sw": 4}
+
 #: load mnemonic -> width-correction callable (same results as
 #: :func:`load_value`, pre-resolved so the hot loop skips the string
 #: comparisons).

@@ -68,14 +68,6 @@ class StaticPredictor(BranchPredictor):
         self._directions: Dict[int, bool] = dict(directions)
         self._targets: Dict[int, int] = dict(targets)
 
-    @classmethod
-    def from_profile(cls, profile) -> "StaticPredictor":
-        """Build from a :class:`repro.profiling.BranchProfile`."""
-        directions = {pc: b.taken_rate >= 0.5
-                      for pc, b in profile.branches.items()}
-        targets = {pc: b.target for pc, b in profile.branches.items()}
-        return cls(directions, targets)
-
     def predict(self, pc: int) -> Prediction:
         if self._directions.get(pc, False):
             return Prediction(True, self._targets.get(pc))

@@ -65,8 +65,10 @@ from repro.sim.pipeline import PipelineStats
 #: stats kind (``"pipeline"`` | ``"ooo"``); v7 added the stats' cache
 #: and fold counters (the energy model's inputs); v8: out-of-order
 #: ``metrics`` blocks count committed branches only and split folds by
-#: direction.
-CACHE_VERSION = 8
+#: direction; v9: the stats lost the CRISP unconditional-fold
+#: counter, and out-of-order producer distances end at the branch's
+#: own issue.
+CACHE_VERSION = 9
 
 #: Entry ``kind`` → stats dataclass.
 _STATS_TYPES = {"pipeline": PipelineStats, "ooo": OoOStats}

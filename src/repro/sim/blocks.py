@@ -76,7 +76,15 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.isa.alu import MASK32, _op_div, _op_rem, _sra, to_signed
+from repro.isa.alu import (
+    LOAD_SIZE,
+    MASK32,
+    STORE_SIZE,
+    _op_div,
+    _op_rem,
+    _sra,
+    to_signed,
+)
 from repro.isa.opcodes import Kind
 from repro.sim.functional import (
     FAR_DISTANCE,
@@ -95,9 +103,6 @@ CHAIN_CAP = 32
 #: a load; far above any distance a run can reach (FAR_DISTANCE and the
 #: instruction budget both sit below it)
 LOAD_BIAS = 1 << 40
-
-_LOAD_SIZE = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}
-_STORE_SIZE = {"sb": 1, "sh": 2, "sw": 4}
 
 # condition-expression templates; same unsigned tests as
 # repro.isa.alu.ZERO_TESTS_U (bit 31 set <=> negative)
@@ -227,7 +232,7 @@ def _emit_straight(body: List[str], instr, pc: int, j: int) -> None:
         return
     if k is Kind.LOAD:
         rs, rt = instr.rs, instr.rt
-        size = _LOAD_SIZE[op]
+        size = LOAD_SIZE[op]
         addr = ("%d" % (instr.imm & MASK32) if rs == 0
                 else "(r[%d] + %d) & 4294967295" % (rs, instr.imm))
         body.append("S[0] = %d" % j)    # trap point: j instrs completed
@@ -255,7 +260,7 @@ def _emit_straight(body: List[str], instr, pc: int, j: int) -> None:
                 else "(r[%d] + %d) & 4294967295" % (rs, instr.imm))
         body.append("S[0] = %d" % j)
         body.append("write(%s, %s, %d)" % (addr, _r(instr.rt),
-                                           _STORE_SIZE[op]))
+                                           STORE_SIZE[op]))
         return
     if k is Kind.CTL:
         body.append("ctl(%d)" % instr.imm)

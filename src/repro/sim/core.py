@@ -9,20 +9,22 @@ same core statistics.  This module holds everything that is *machine
 independent* so the simulators share it instead of forking it:
 
 * the construction-time decode machinery (:class:`_Decoded`,
-  :func:`_decode`, :func:`_build_dec_table`, the interned-table memo)
-  together with the EX dispatch handlers and the integer kind codes the
-  compiled pipeline loop inlines on;
+  :func:`_decode`, the interned-table memo and :func:`foreign_decode`,
+  the per-simulator memo of injected BTI/BFI instructions) together
+  with the EX dispatch handlers and the integer kind codes the compiled
+  pipeline loop inlines on;
 * :class:`PipelineStats`, the statistics record every experiment,
   cache entry, objective extractor and the energy model consumes (the
   out-of-order machine extends it via :class:`CoreStatsMixin`), and
   :func:`record_counts`, which fills its cache and fold counters;
-* :func:`init_core_state`, the shared architectural-state constructor
-  that establishes the *frontend attach surface*: after it runs, a
-  simulator exposes ``fetch_pc`` / ``predictor`` / ``icache`` /
-  ``stats`` / ``_text_base`` / ``_text_end`` / ``_dec`` exactly as
-  :func:`repro.frontend.attach_frontend` and
-  :class:`repro.frontend.DecoupledFrontend` expect, so the BPU+FTQ+FDIP
-  front end attaches to either machine unchanged.
+* :func:`init_core_state`, the shared constructor of architectural
+  state, decode table, front end and tracer hook.  It establishes the
+  *frontend attach surface* (``fetch_pc`` / ``predictor`` / ``icache``
+  / ``_text_base`` / ``_text_end`` / ``_dec``) before it attaches the
+  BPU+FTQ+FDIP front end, so the front end attaches to either machine
+  unchanged;
+* :func:`run_ticks`, the budgeted ``tick()`` loop both machines run
+  (the in-order machine as its reference loop).
 
 The two conditional-branch EX handlers also emit the in-order
 machine's ``BRANCH`` event when a tracer is attached (``sim._emit`` is
@@ -35,17 +37,22 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.asm.program import Program, STACK_TOP
-from repro.isa.alu import LOAD_FIX, MASK32, ZERO_TESTS_U, alu_fn
+from repro.isa.alu import (
+    LOAD_FIX,
+    LOAD_SIZE,
+    MASK32,
+    STORE_SIZE,
+    ZERO_TESTS_U,
+    alu_fn,
+)
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Kind
 from repro.isa.registers import RegisterFile
 from repro.memory.cache import Cache
 from repro.memory.main_memory import MainMemory
 from repro.predictors.simple import NotTakenPredictor
+from repro.sim.functional import SimulationError
 from repro.telemetry.events import BRANCH, TraceEvent
-
-_LOAD_SIZE = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}
-_STORE_SIZE = {"sb": 1, "sh": 2, "sw": 4}
 
 
 class CoreStatsMixin:
@@ -75,7 +82,6 @@ class PipelineStats(CoreStatsMixin):
     branch_mispredicts: int = 0
     folds_committed: int = 0     # committed replacement (BTI/BFI) instrs;
                                  # each stands for one right-path fold
-    uncond_folds_committed: int = 0  # CRISP-style unconditional folds
     predictor_lookups: int = 0   # fetch-stage direction predictions made
     jump_bubbles: int = 0        # ID-redirect bubbles from j/jal
     jr_redirects: int = 0        # EX redirects from jr/jalr
@@ -128,8 +134,7 @@ class _Decoded:
                  "is_load", "is_store", "is_branch", "is_halt", "is_ctl",
                  "is_jump", "rs", "rt", "imm", "shamt", "alu",
                  "result_const", "size", "load_fix",
-                 "br_target", "cond", "eq_sense", "jump_target",
-                 "uncond_fold")
+                 "br_target", "cond", "eq_sense", "jump_target")
 
 
 #: integer EX-dispatch codes mirroring the ``_ex_*`` handlers below; the
@@ -276,7 +281,6 @@ def _decode(instr: Instruction, pc: int) -> _Decoded:
     d.cond = None
     d.eq_sense = True
     d.jump_target = 0
-    d.uncond_fold = None
 
     if k is Kind.ALU_RRR:
         d.alu = alu_fn(spec.alu_op)
@@ -298,13 +302,13 @@ def _decode(instr: Instruction, pc: int) -> _Decoded:
         d.ex = _ex_const
         d.exk = EXK_CONST
     elif k is Kind.LOAD:
-        d.size = _LOAD_SIZE[instr.op]
+        d.size = LOAD_SIZE[instr.op]
         d.load_fix = LOAD_FIX[instr.op]
         d.lfk = _LOAD_CODE.get(instr.op, 0)
         d.ex = _ex_load
         d.exk = EXK_LOAD
     elif k is Kind.STORE:
-        d.size = _STORE_SIZE[instr.op]
+        d.size = STORE_SIZE[instr.op]
         d.ex = _ex_store
         d.exk = EXK_STORE
     elif k is Kind.BRANCH_CMP:
@@ -338,42 +342,10 @@ def _decode(instr: Instruction, pc: int) -> _Decoded:
     return d
 
 
-def _build_dec_table(program: Program,
-                     fold_unconditional: bool) -> List[_Decoded]:
-    """Decode every text slot and resolve unconditional fold targets.
-
-    ``d.uncond_fold`` is ``(target_record, target_pc, next_fetch_pc)``
-    when a statically-unconditional transfer (``j`` / ``beq r0, r0``)
-    can be folded at fetch, else None — see
-    ``PipelineSimulator.fold_unconditional``.
-    """
-    dec = [_decode(instr, program.pc_of(i))
-           for i, instr in enumerate(program.instrs)]
-    if not fold_unconditional:
-        return dec
-    base, end = program.text_base, program.text_end
-    for d in dec:
-        k = d.instr.spec.kind
-        if k is Kind.JUMP:
-            target = d.jump_target
-        elif (k is Kind.BRANCH_CMP and d.instr.op == "beq"
-                and d.rs == 0 and d.rt == 0):
-            target = d.br_target
-        else:
-            continue
-        if target & 3 or not base <= target < end:
-            continue
-        td = dec[(target - base) >> 2]
-        if td.instr.is_control or td.is_halt:
-            continue
-        d.uncond_fold = (td, target, (target + 4) & MASK32)
-    return dec
-
-
 #: interned decode tables for every timing simulator: _Decoded records
 #: are immutable after construction (no simulator, frontend or tracer
-#: writes them), so simulators over the same (program, fold flag)
-#: share one table instead of re-deriving it per RunSpec.
+#: writes them), so simulators over the same program share one table
+#: instead of re-deriving it per RunSpec.
 #: Keyed on object identity plus the program's mutation ``version``
 #: (``replace_instr`` bumps it); the table's records hold the program's
 #: instructions, and the key tuple below pins the program itself, so a
@@ -382,36 +354,59 @@ _DEC_MEMO: Dict[tuple, tuple] = {}
 _DEC_MEMO_CAP = 64
 
 
-def _interned_dec_table(program: Program,
-                        fold_unconditional: bool) -> List[_Decoded]:
-    key = (id(program), getattr(program, "version", 0),
-           fold_unconditional)
+def _interned_dec_table(program: Program) -> List[_Decoded]:
+    """The decoded record of every text slot, shared per program."""
+    key = (id(program), getattr(program, "version", 0))
     hit = _DEC_MEMO.get(key)
     if hit is not None and hit[0] is program:
         return hit[1]
-    dec = _build_dec_table(program, fold_unconditional)
+    dec = [_decode(instr, program.pc_of(i))
+           for i, instr in enumerate(program.instrs)]
     if len(_DEC_MEMO) >= _DEC_MEMO_CAP:
         _DEC_MEMO.clear()
     _DEC_MEMO[key] = (program, dec)
     return dec
 
 
+def foreign_decode(sim, instr: Instruction, pc: int) -> _Decoded:
+    """Decoded record for an injected (non-program) instruction,
+    memoized per ``(instr, pc)`` for the life of the simulator; both
+    machines bind it as ``_foreign_decode``.
+
+    BIT entries pre-decode their own BTI/BFI objects, so a hot folded
+    branch decodes its target exactly once.  The key includes the
+    identity *and* the injection PC, and the memoized instruction is
+    pinned: a ``ctlw`` reconfiguration may evict a BIT entry and free
+    its BTI/BFI, and without the pin a later allocation could recycle
+    the id and silently inherit a stale decode."""
+    key = (id(instr), pc)
+    d = sim._foreign.get(key)
+    if d is None:
+        d = _decode(instr, pc)
+        sim._foreign[key] = d
+        sim._foreign_pin.append(instr)
+    return d
+
+
 # ======================================================================
 # shared architectural-state construction (the frontend attach surface)
 # ======================================================================
 def init_core_state(sim, program: Program, memory, predictor, asbr,
-                    icache_cfg, dcache_cfg) -> None:
+                    config, frontend, trace) -> None:
     """Construct the machine-independent half of a timing simulator.
 
-    After this returns, ``sim`` exposes the full attach surface that
-    :func:`repro.frontend.attach_frontend` and the ASBR unit rely on:
-    ``program`` / ``memory`` (data segment + text image loaded),
-    ``predictor`` (defaulted), ``asbr`` (BDT seeded against the initial
-    register file), ``icache`` / ``dcache``, ``regs`` (with the stack
-    pointer), ``fetch_pc`` / ``halted``, the text-bounds and
-    memory/cache fast-path aliases, and the three BDT forwarding-point
-    flags.  The caller still owns ``stats``, ``config`` and ``_dec``
-    (they are machine-specific).
+    After this returns, ``sim`` holds ``program`` / ``memory`` (data
+    segment + text image loaded), ``predictor`` (defaulted), ``asbr``
+    (BDT seeded against the initial register file), ``icache`` /
+    ``dcache`` (shaped by ``config.icache`` / ``config.dcache``),
+    ``regs`` (with the stack pointer), ``fetch_pc`` / ``halted``, the
+    text-bounds and memory/cache fast-path aliases, the three BDT
+    forwarding-point flags, the interned decode table ``_dec``, the
+    empty :func:`foreign_decode` memo, ``frontend`` (the decoupled
+    front end built from ``frontend``, or None) and ``trace`` /
+    ``_emit`` (``trace.emit``, or None untraced; the front end gets
+    the same ``_emit``).  The caller still owns ``stats`` (it is
+    machine-specific).
     """
     sim.program = program
     if memory is None:
@@ -426,8 +421,8 @@ def init_core_state(sim, program: Program, memory, predictor, asbr,
     sim.predictor = predictor if predictor is not None \
         else NotTakenPredictor()
     sim.asbr = asbr
-    sim.icache = Cache(icache_cfg, "icache")
-    sim.dcache = Cache(dcache_cfg, "dcache")
+    sim.icache = Cache(config.icache, "icache")
+    sim.dcache = Cache(config.dcache, "dcache")
     sim.regs = RegisterFile()
     sim.regs.write(29, STACK_TOP)
     if asbr is not None:
@@ -451,3 +446,43 @@ def init_core_state(sim, program: Program, memory, predictor, asbr,
     sim._bdt_commit = asbr is not None and asbr.bdt_update == "commit"
     sim._rel_mem = asbr is not None and asbr.bdt_update == "mem"
     sim._rel_ex = asbr is not None and asbr.bdt_update == "execute"
+
+    sim._dec = _interned_dec_table(program)
+    # injected (BTI/BFI) instructions, decoded on first use
+    sim._foreign = {}
+    sim._foreign_pin = []
+
+    sim.frontend = None
+    if frontend is not None:
+        from repro.frontend import attach_frontend
+        attach_frontend(sim, frontend)
+
+    # telemetry: every emit site checks `emit is not None`
+    sim.trace = trace
+    sim._emit = None
+    if trace is not None:
+        sim._emit = trace.emit
+        if sim.frontend is not None:
+            sim.frontend._emit = trace.emit
+
+
+def run_ticks(sim):
+    """Simulate until the program's ``halt`` commits: ``sim.tick()``
+    per cycle within ``sim.config.max_cycles``.
+
+    ``tick`` is looked up on the instance, so a wrapper installed there
+    (fault injection) runs.  The cache and fold counters are copied
+    into the stats however the loop ends."""
+    try:
+        max_cycles = sim.config.max_cycles
+        stats = sim.stats
+        tick = sim.tick
+        while not sim.halted:
+            if stats.cycles >= max_cycles:
+                raise SimulationError(
+                    "cycle budget (%d) exhausted; fetch_pc=0x%x"
+                    % (max_cycles, sim.fetch_pc))
+            tick()
+        return stats
+    finally:
+        record_counts(sim)

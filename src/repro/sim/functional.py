@@ -36,7 +36,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.asm.program import Program, STACK_TOP
 from repro.isa.alu import (
     LOAD_FIX,
+    LOAD_SIZE,
     MASK32,
+    STORE_SIZE,
     ZERO_TESTS_U,
     alu_execute,
     alu_fn,
@@ -47,9 +49,6 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Kind
 from repro.isa.registers import RegisterFile
 from repro.memory.main_memory import MainMemory
-
-_LOAD_SIZE = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}
-_STORE_SIZE = {"sb": 1, "sh": 2, "sw": 4}
 
 
 class SimulationError(RuntimeError):
@@ -196,19 +195,19 @@ class FunctionalSimulator:
             if rt == 0:
                 # the access (and any alignment trap) still happens
                 def plan(regs=regs, read=self.memory.read, rs=instr.rs,
-                         imm=instr.imm, size=_LOAD_SIZE[op], pc4=pc4):
+                         imm=instr.imm, size=LOAD_SIZE[op], pc4=pc4):
                     read((regs[rs] + imm) & MASK32, size)
                     return pc4
                 return plan
             def plan(regs=regs, read=self.memory.read, rt=rt, rs=instr.rs,
-                     imm=instr.imm, size=_LOAD_SIZE[op], fix=LOAD_FIX[op],
+                     imm=instr.imm, size=LOAD_SIZE[op], fix=LOAD_FIX[op],
                      pc4=pc4):
                 regs[rt] = fix(read((regs[rs] + imm) & MASK32, size))
                 return pc4
             return plan
         if k is Kind.STORE:
             def plan(regs=regs, write=self.memory.write, rt=instr.rt,
-                     rs=instr.rs, imm=instr.imm, size=_STORE_SIZE[op],
+                     rs=instr.rs, imm=instr.imm, size=STORE_SIZE[op],
                      pc4=pc4):
                 write((regs[rs] + imm) & MASK32, regs[rt], size)
                 return pc4
@@ -305,11 +304,11 @@ class FunctionalSimulator:
             regs.write(instr.rt, (instr.imm << 16) & 0xFFFFFFFF)
         elif k is Kind.LOAD:
             addr = (regs[instr.rs] + instr.imm) & 0xFFFFFFFF
-            raw = self.memory.read(addr, _LOAD_SIZE[instr.op])
+            raw = self.memory.read(addr, LOAD_SIZE[instr.op])
             regs.write(instr.rt, load_value(instr.op, raw))
         elif k is Kind.STORE:
             addr = (regs[instr.rs] + instr.imm) & 0xFFFFFFFF
-            self.memory.write(addr, regs[instr.rt], _STORE_SIZE[instr.op])
+            self.memory.write(addr, regs[instr.rt], STORE_SIZE[instr.op])
         elif k is Kind.BRANCH_CMP:
             taken = (regs[instr.rs] == regs[instr.rt]) \
                 if instr.op == "beq" else (regs[instr.rs] != regs[instr.rt])

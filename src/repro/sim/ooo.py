@@ -33,7 +33,7 @@ ASBR folding in an out-of-order machine
 Folds happen at fetch exactly as on the in-order core — the BIT/BDT
 semantics are untouched — and the replacement instruction retires as a
 zero-latency op in the active list (the ledger invariant ``committed +
-folds_committed + uncond_folds_committed == retired`` still holds).
+folds_committed == retired`` still holds).
 Two hazards unique to dynamic scheduling are closed here, both required
 for the "folds are non-speculative" guarantee to survive:
 
@@ -103,13 +103,11 @@ from repro.sim.core import (
     EXK_SHIFT_I,
     EXK_STORE,
     CoreStatsMixin,
-    _decode,
     _Decoded,
-    _interned_dec_table,
+    foreign_decode,
     init_core_state,
-    record_counts,
+    run_ticks,
 )
-from repro.sim.functional import SimulationError
 from repro.telemetry.events import (
     BRANCH,
     CHECKPOINT_RESTORE,
@@ -125,7 +123,6 @@ from repro.telemetry.events import (
     emit_fetch,
     emit_fold_hit,
     emit_fold_miss,
-    emit_uncond_fold,
 )
 
 #: seq sentinel larger than any real sequence number
@@ -177,7 +174,6 @@ class OoOStats(CoreStatsMixin):
     branches: int = 0                # conditional branches committed
     branch_mispredicts: int = 0      # committed branches that recovered
     folds_committed: int = 0
-    uncond_folds_committed: int = 0
     predictor_lookups: int = 0
     jump_bubbles: int = 0
     jr_redirects: int = 0
@@ -212,7 +208,7 @@ class OoOStats(CoreStatsMixin):
 class _Op:
     """One active-list entry (and its issue-queue view)."""
 
-    __slots__ = ("seq", "d", "pc", "folded", "uncond_folded", "fold_pc",
+    __slots__ = ("seq", "d", "pc", "folded", "fold_pc",
                  "pred_next_pc", "new_phys", "old_phys", "src_phys",
                  "rs_phys", "rt_phys", "issued", "completed", "result",
                  "mem_addr", "store_val", "exception", "acquired_reg",
@@ -224,7 +220,6 @@ class _Op:
         self.d = d
         self.pc = pc
         self.folded = False
-        self.uncond_folded = False
         self.fold_pc = 0
         self.pred_next_pc = 0
         self.new_phys = -1
@@ -261,7 +256,6 @@ class OoOSimulator:
                  predictor: Optional[BranchPredictor] = None,
                  asbr: Optional[ASBRUnit] = None,
                  config: Optional[OoOConfig] = None,
-                 fold_unconditional: bool = False,
                  trace=None, frontend=None,
                  commit_log: Optional[list] = None) -> None:
         """Same construction surface as the in-order simulator (shared
@@ -281,14 +275,10 @@ class OoOSimulator:
         same code path with bit-identical stats.
         """
         self.config = config if config is not None else OoOConfig()
-        self.fold_unconditional = fold_unconditional
         init_core_state(self, program, memory, predictor, asbr,
-                        self.config.icache, self.config.dcache)
+                        self.config, frontend, trace)
         self.stats = OoOStats()
         self.commit_log = commit_log
-        self._dec = _interned_dec_table(program, fold_unconditional)
-        self._foreign: Dict[tuple, _Decoded] = {}
-        self._foreign_pin: List[Instruction] = []
 
         cfg = self.config
         self.width = cfg.issue_width
@@ -316,49 +306,12 @@ class OoOSimulator:
         self._commit_wait = 0                 # store D-cache miss at commit
         self._seq = 0
 
-        self.frontend = None
-        if frontend is not None:
-            from repro.frontend import attach_frontend
-            attach_frontend(self, frontend)
-
-        self.trace = None
-        self._emit = None
-        if trace is not None:
-            self.trace = trace
-            self._emit = trace.emit
-            if self.frontend is not None:
-                self.frontend._emit = trace.emit
-
-    # ------------------------------------------------------------------
-    def _foreign_decode(self, instr: Instruction, pc: int) -> _Decoded:
-        """Memoized decode of an injected (BTI/BFI) instruction; same
-        pin discipline as the in-order simulator."""
-        key = (id(instr), pc)
-        d = self._foreign.get(key)
-        if d is None:
-            d = _decode(instr, pc)
-            self._foreign[key] = d
-            self._foreign_pin.append(instr)
-        return d
+    _foreign_decode = foreign_decode
 
     # ==================================================================
     # public API
     # ==================================================================
-    def run(self) -> OoOStats:
-        """Simulate until the program's ``halt`` commits."""
-        max_cycles = self.config.max_cycles
-        stats = self.stats
-        tick = self.tick
-        try:
-            while not self.halted:
-                if stats.cycles >= max_cycles:
-                    raise SimulationError(
-                        "cycle budget (%d) exhausted; fetch_pc=0x%x"
-                        % (max_cycles, self.fetch_pc))
-                tick()
-            return stats
-        finally:
-            record_counts(self)
+    run = run_ticks
 
     # ==================================================================
     # one clock cycle
@@ -548,8 +501,6 @@ class OoOSimulator:
                 self._store_seqs.popleft()
             if op.folded:
                 stats.folds_committed += 1
-            if op.uncond_folded:
-                stats.uncond_folds_committed += 1
             if op.is_br:
                 stats.branches += 1
                 if op.mispredicted:
@@ -568,15 +519,13 @@ class OoOSimulator:
             if op.acquired_reg is not None and self._bdt_commit:
                 op.bdt_ready = stats.cycles
             if log is not None:
-                if op.folded or op.uncond_folded:
+                if op.folded:
                     log.append(op.fold_pc)
                 log.append(op.pc)
             if emit is not None:
                 data = NO_DATA
                 if op.folded:
                     data = {"fold_pc": op.fold_pc, "fold_taken": op.taken}
-                elif op.uncond_folded:
-                    data = {"uncond_fold": True}
                 emit(TraceEvent(stats.cycles, COMMIT, op.pc, op.seq,
                                 data))
             if d.is_halt:
@@ -767,25 +716,6 @@ class OoOSimulator:
                 return        # off the text segment (wrong path): wait
             d = dec[(pc - base) >> 2]
 
-            uf = d.uncond_fold
-            if uf is not None:
-                td, tpc, next_pc = uf
-                op = self._new_op(td, tpc)
-                op.uncond_folded = True
-                op.fold_pc = pc
-                if not self._acquire(op):
-                    self._unfetch(op)
-                    return
-                buf.append(op)
-                fetched += 1
-                extra = self._icache_access(pc)
-                if emit is not None:
-                    emit_uncond_fold(emit, cycle, tpc, op.seq, pc)
-                self.fetch_pc = next_pc
-                if self._miss(op, extra) or next_pc != pc + 4:
-                    return             # fill in flight / group ends
-                continue
-
             if d.is_branch:
                 if self.asbr is not None:
                     fold = self.asbr.try_fold(pc)
@@ -887,26 +817,6 @@ class OoOSimulator:
                 return
             d = dec[(entry.pc - base) >> 2]
 
-            if entry.uncond_fold:
-                op = self._new_op(d, entry.pc)
-                op.uncond_folded = True
-                op.fold_pc = entry.fetch_addr
-                op.pred_next_pc = entry.pred_next_pc
-                if not self._acquire(op):
-                    self._unfetch(op)
-                    fe.redirect(entry.fetch_addr)   # re-pushed after drain
-                    return
-                buf.append(op)
-                fetched += 1
-                if emit is not None:
-                    emit_uncond_fold(emit, cycle, entry.pc, op.seq,
-                                     entry.fetch_addr)
-                extra = fe.demand_access(entry.fetch_addr)
-                self.fetch_pc = entry.pred_next_pc
-                if self._miss(op, extra):
-                    return
-                continue
-
             if d.is_branch and self.asbr is not None:
                 fold = self.asbr.try_fold(entry.pc)
                 if fold is not None:
@@ -923,7 +833,7 @@ class OoOSimulator:
                     fetched += 1
                     if emit is not None:
                         emit_fold_hit(emit, cycle, fold, entry.pc, op.seq)
-                    extra = fe.demand_access(entry.fetch_addr)
+                    extra = fe.demand_access(entry.pc)
                     self.fetch_pc = fold.next_pc
                     fe.fold_consumed(fold)
                     if self._miss(op, extra):
@@ -940,7 +850,7 @@ class OoOSimulator:
                 fetched += 1
                 if emit is not None:
                     emit_fetch(emit, cycle, entry.pc, op.seq)
-                extra = fe.demand_access(entry.fetch_addr)
+                extra = fe.demand_access(entry.pc)
                 self.fetch_pc = entry.pred_next_pc
                 if self._miss(op, extra) or entry.pred_next_pc != d.pc4:
                     return             # fill in flight / predicted taken
@@ -956,7 +866,7 @@ class OoOSimulator:
             fetched += 1
             if emit is not None:
                 emit_fetch(emit, cycle, entry.pc, op.seq)
-            extra = fe.demand_access(entry.fetch_addr)
+            extra = fe.demand_access(entry.pc)
             miss = self._miss(op, extra)
             exk = op.d.exk
             if d.is_jump:

@@ -32,12 +32,12 @@ Every static instruction is decoded once at simulator construction into
 a :class:`_Decoded` record: the EX-stage handler is a pre-bound
 function, operand register indices, ALU callables, load widths and
 sign-fixups are pre-resolved, and — because each text slot's PC is fixed
-— branch/jump targets and the unconditional-fold target are absolute
-constants.  ``tick()`` therefore never re-branches on the opcode; the
-per-cycle work is a handful of attribute reads and one indirect call per
-occupied stage.  Cycle counts are *bit-identical* to the original
-re-dispatching implementation (``tests/test_stats_golden.py`` locks
-them; ``tests/test_differential_random.py`` locks architectural state).
+— branch and jump targets are absolute constants.  ``tick()`` therefore
+never re-branches on the opcode; the per-cycle work is a handful of
+attribute reads and one indirect call per occupied stage.  Cycle counts
+are *bit-identical* to the original re-dispatching implementation
+(``tests/test_stats_golden.py`` locks them;
+``tests/test_differential_random.py`` locks architectural state).
 
 Compiled loop
 -------------
@@ -69,7 +69,7 @@ integration test-suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.asbr.folding import ASBRUnit
 from repro.asm.program import Program
@@ -80,13 +80,12 @@ from repro.memory.main_memory import MainMemory
 from repro.predictors.base import BranchPredictor
 from repro.sim.core import (
     PipelineStats,
-    _decode,
     _Decoded,
-    _interned_dec_table,
+    foreign_decode,
     init_core_state,
     record_counts,
+    run_ticks,
 )
-from repro.sim.functional import SimulationError
 from repro.telemetry.events import (
     BDT_UPDATE,
     COMMIT,
@@ -99,7 +98,6 @@ from repro.telemetry.events import (
     emit_fetch,
     emit_fold_hit,
     emit_fold_miss,
-    emit_uncond_fold,
 )
 
 
@@ -119,10 +117,9 @@ class PipelineConfig:
 class _Slot:
     """One in-flight instruction (the content of a pipeline latch)."""
 
-    __slots__ = ("d", "pc", "folded", "uncond_folded",
-                 "pred_next_pc", "result", "mem_addr", "store_val",
-                 "mem_wait", "mem_done", "ex_done", "id_done",
-                 "acquired_reg",
+    __slots__ = ("d", "pc", "folded", "pred_next_pc", "result",
+                 "mem_addr", "store_val", "mem_wait", "mem_done",
+                 "ex_done", "id_done", "acquired_reg",
                  # telemetry-only fields: the fetch paths write them
                  # only where events read them (coupled fetch when a
                  # tracer is attached, the decoupled front end always),
@@ -132,8 +129,8 @@ class _Slot:
     def __init__(self, d: _Decoded, pc: int) -> None:
         self.d = d
         self.pc = pc
-        self.folded = False            # fold paths set these after
-        self.uncond_folded = False     # construction (kwargs are slow)
+        self.folded = False            # fold paths set it after
+                                       # construction (kwargs are slow)
         self.pred_next_pc = 0          # what fetch assumed comes next
         self.result = 0
         self.mem_addr = 0
@@ -157,17 +154,8 @@ class PipelineSimulator:
                  predictor: Optional[BranchPredictor] = None,
                  asbr: Optional[ASBRUnit] = None,
                  config: Optional[PipelineConfig] = None,
-                 fold_unconditional: bool = False,
                  trace=None, frontend=None) -> None:
-        """``fold_unconditional`` enables CRISP-style folding of
-        statically-unconditional control transfers (``j`` and
-        ``beq r0, r0``) at fetch — the classic scheme of Ditzel &
-        McLellan the paper cites as related work [10].  Like an ASBR
-        fold, the transfer is replaced in its fetch slot by its target
-        instruction whenever that instruction is itself foldable
-        (non-control).
-
-        ``trace`` attaches a :class:`repro.telemetry.Tracer`: its
+        """``trace`` attaches a :class:`repro.telemetry.Tracer`: its
         ``emit`` becomes ``self._emit`` (and the front end's), which
         the guarded emit sites of ``tick()`` and its helpers call.
         Untraced, each site costs one None check, and the compiled
@@ -183,12 +171,10 @@ class PipelineSimulator:
         (bit-identical stats, golden-locked); like telemetry, an
         attached frontend makes ``run`` take the ``tick()`` loop."""
         self.config = config if config is not None else PipelineConfig()
-        self.fold_unconditional = fold_unconditional
-        # shared architectural state + frontend attach surface (memory
-        # image, predictor default, caches, registers, BDT seed, fetch
-        # pointer, fast-path aliases) — see repro.sim.core
+        # shared architectural state, decode table, front end and
+        # tracer hook — see repro.sim.core
         init_core_state(self, program, memory, predictor, asbr,
-                        self.config.icache, self.config.dcache)
+                        self.config, frontend, trace)
         self.stats = PipelineStats()
 
         # pipeline latches: the slot currently occupying each stage
@@ -202,47 +188,7 @@ class PipelineSimulator:
         self._fetch_halted = False            # halt decoded on current path
         self._pending_releases = []           # (reg, value) applied at EOT
 
-        # shared, interned table: computed once per (program, fold
-        # flag) per process instead of once per simulator
-        self._dec = _interned_dec_table(program, fold_unconditional)
-        # injected (BTI/BFI) instructions decoded on first use; the pin
-        # list keeps every memoized instruction alive so a (id, pc) key
-        # can never be recycled by a new object after BIT eviction
-        self._foreign: Dict[tuple, _Decoded] = {}
-        self._foreign_pin: List[Instruction] = []
-
-        # ---- decoupled front end (opt-in; default path untouched) -------
-        self.frontend = None
-        if frontend is not None:
-            from repro.frontend import attach_frontend
-            attach_frontend(self, frontend)
-
-        # ---- telemetry: the emit sites check `emit is not None` ------
-        self.trace = trace
-        self._emit = None
-        if trace is not None:
-            self._emit = trace.emit
-            if self.frontend is not None:
-                self.frontend._emit = trace.emit
-
-    def _foreign_decode(self, instr: Instruction, pc: int) -> _Decoded:
-        """Decoded record for an injected (non-program) instruction,
-        memoized per ``(instr, pc)`` for the life of the simulator.
-
-        BIT entries pre-decode their own BTI/BFI objects, so a hot
-        folded branch decodes its target exactly once.  The key includes
-        the identity *and* the injection PC, and the memoized
-        instruction is pinned: a ``ctlw`` reconfiguration may evict a
-        BIT entry and free its BTI/BFI, and without the pin a later
-        allocation could recycle the id and silently inherit a stale
-        decode."""
-        key = (id(instr), pc)
-        d = self._foreign.get(key)
-        if d is None:
-            d = _decode(instr, pc)
-            self._foreign[key] = d
-            self._foreign_pin.append(instr)
-        return d
+    _foreign_decode = foreign_decode
 
     # ==================================================================
     # public API
@@ -269,24 +215,10 @@ class PipelineSimulator:
                 record_counts(self)
         return self.run_reference()
 
-    def run_reference(self) -> PipelineStats:
-        """The reference loop: :meth:`tick` until ``halt`` commits.
-
-        The compiled loop is checked against this one; tests and
-        benchmarks call it by name."""
-        try:
-            max_cycles = self.config.max_cycles
-            stats = self.stats
-            tick = self.tick
-            while not self.halted:
-                if stats.cycles >= max_cycles:
-                    raise SimulationError(
-                        "cycle budget (%d) exhausted; fetch_pc=0x%x"
-                        % (max_cycles, self.fetch_pc))
-                tick()
-            return stats
-        finally:
-            record_counts(self)
+    #: the reference loop, :meth:`tick` until ``halt`` commits; the
+    #: compiled loop is checked against it, and tests and benchmarks
+    #: call it by name
+    run_reference = run_ticks
 
     # ==================================================================
     # one clock cycle
@@ -314,17 +246,12 @@ class PipelineSimulator:
                     pending.append((dest, wb.result))
             if wb.folded:
                 stats.folds_committed += 1
-            if wb.uncond_folded:
-                stats.uncond_folds_committed += 1
             stats.committed += 1
             if emit is not None:
                 if wb.folded:
                     emit(TraceEvent(stats.cycles, COMMIT, wb.pc, wb.seq,
                                     {"fold_pc": wb.fold_pc,
                                      "fold_taken": wb.fold_taken}))
-                elif wb.uncond_folded:
-                    emit(TraceEvent(stats.cycles, COMMIT, wb.pc, wb.seq,
-                                    {"uncond_fold": True}))
                 else:
                     emit(TraceEvent(stats.cycles, COMMIT, wb.pc, wb.seq))
             self.s_wb = None
@@ -528,19 +455,6 @@ class PipelineSimulator:
         if extra:
             stats.icache_miss_stalls += extra
 
-        uf = d.uncond_fold          # non-None only when folding is enabled
-        if uf is not None:
-            td, tpc, next_pc = uf
-            slot = _Slot(td, tpc)
-            slot.uncond_folded = True
-            self.s_if = slot
-            stats.fetched += 1
-            if emit is not None:
-                slot.seq = stats.fetched - 1
-                emit_uncond_fold(emit, stats.cycles, tpc, slot.seq, pc)
-            self.fetch_pc = next_pc
-            return
-
         if d.is_branch:
             if self.asbr is not None:
                 fold = self.asbr.try_fold(pc)
@@ -602,24 +516,11 @@ class PipelineSimulator:
             return
         stats = self.stats
         emit = self._emit
-        extra = fe.demand_access(entry.fetch_addr)
+        extra = fe.demand_access(entry.pc)
         self.if_wait = extra
         if extra:
             stats.icache_miss_stalls += extra
         d = self._dec[(entry.pc - self._text_base) >> 2]
-
-        if entry.uncond_fold:
-            slot = _Slot(d, entry.pc)
-            slot.uncond_folded = True
-            slot.pred_next_pc = entry.pred_next_pc
-            self.s_if = slot
-            stats.fetched += 1
-            slot.seq = stats.fetched - 1
-            if emit is not None:
-                emit_uncond_fold(emit, stats.cycles, entry.pc, slot.seq,
-                                 entry.fetch_addr)
-            self.fetch_pc = entry.pred_next_pc
-            return
 
         if d.is_branch and self.asbr is not None:
             fold = self.asbr.try_fold(entry.pc)

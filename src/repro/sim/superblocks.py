@@ -219,36 +219,33 @@ def run_pipeline_superblocks(sim):
     # not listed for a stage are never read once the slot is there.
     s = sim.s_if
     if s is not None:
-        f_d, f_pc, f_fo, f_uf, f_pr = (s.d, s.pc, s.folded,
-                                       s.uncond_folded, s.pred_next_pc)
+        f_d, f_pc, f_fo, f_pr = s.d, s.pc, s.folded, s.pred_next_pc
     else:
         f_d = None
         f_pc = f_pr = 0
-        f_fo = f_uf = False
+        f_fo = False
     s = sim.s_id
     if s is not None:
-        i_d, i_pc, i_fo, i_uf, i_pr = (s.d, s.pc, s.folded,
-                                       s.uncond_folded, s.pred_next_pc)
+        i_d, i_pc, i_fo, i_pr = s.d, s.pc, s.folded, s.pred_next_pc
         i_acq = s.acquired_reg
         i_done = s.id_done
     else:
         i_d = i_acq = None
         i_pc = i_pr = 0
-        i_fo = i_uf = i_done = False
+        i_fo = i_done = False
     s = sim.s_ex
     if s is not None:
-        e_d, e_pc, e_fo, e_uf, e_pr = (s.d, s.pc, s.folded,
-                                       s.uncond_folded, s.pred_next_pc)
+        e_d, e_pc, e_fo, e_pr = s.d, s.pc, s.folded, s.pred_next_pc
         e_acq = s.acquired_reg
         e_done = s.ex_done
         e_res, e_addr, e_sv = s.result, s.mem_addr, s.store_val
     else:
         e_d = e_acq = None
         e_pc = e_pr = e_res = e_addr = e_sv = 0
-        e_fo = e_uf = e_done = False
+        e_fo = e_done = False
     s = sim.s_mem
     if s is not None:
-        m_d, m_pc, m_fo, m_uf = s.d, s.pc, s.folded, s.uncond_folded
+        m_d, m_pc, m_fo = s.d, s.pc, s.folded
         m_acq = s.acquired_reg
         m_done, m_wait = s.mem_done, s.mem_wait
         m_res, m_addr, m_sv = s.result, s.mem_addr, s.store_val
@@ -257,17 +254,17 @@ def run_pipeline_superblocks(sim):
     else:
         m_d = m_acq = None
         m_pc = m_wait = m_res = m_addr = m_sv = 0
-        m_fo = m_uf = m_done = False
+        m_fo = m_done = False
         m_dest = -1
     s = sim.s_wb
     if s is not None:
-        w_d, w_pc, w_fo, w_uf = s.d, s.pc, s.folded, s.uncond_folded
+        w_d, w_pc, w_fo = s.d, s.pc, s.folded
         w_acq = s.acquired_reg
         w_res = s.result
     else:
         w_d = w_acq = None
         w_pc = w_res = 0
-        w_fo = w_uf = False
+        w_fo = False
     s = None
 
     if_wait = sim.if_wait
@@ -284,7 +281,6 @@ def run_pipeline_superblocks(sim):
     branches = stats.branches
     mispredicts = stats.branch_mispredicts
     folds = stats.folds_committed
-    uncond_folds = stats.uncond_folds_committed
     lookups = stats.predictor_lookups
     jump_bubbles = stats.jump_bubbles
     jr_redirects = stats.jr_redirects
@@ -311,8 +307,6 @@ def run_pipeline_superblocks(sim):
                         pending.append((dest, w_res))
                 if w_fo:
                     folds += 1
-                if w_uf:
-                    uncond_folds += 1
                 committed += 1
                 w_d = None
                 if d.is_halt:
@@ -643,16 +637,7 @@ def run_pipeline_superblocks(sim):
                             ic_last[si] = tag
                             if_wait = extra
                             istalls += extra
-                    uf = d.uncond_fold
-                    if uf is not None:
-                        td, tpc, next_pc = uf
-                        f_d = td
-                        f_pc = tpc
-                        f_fo = False
-                        f_uf = True
-                        fetched += 1
-                        fetch_pc = next_pc
-                    elif d.is_branch:
+                    if d.is_branch:
                         t = fold_map.get(pc) if asbr_on else None
                         if t is not None:
                             # compiled try_fold: BIT hit; check the
@@ -675,7 +660,6 @@ def run_pipeline_superblocks(sim):
                                     f_pc = t[6]
                                     fetch_pc = t[7]
                                 f_fo = True
-                                f_uf = False
                                 fetched += 1
                         if t is None:
                             lookups += 1
@@ -695,7 +679,6 @@ def run_pipeline_superblocks(sim):
                             f_d = d
                             f_pc = pc
                             f_fo = False
-                            f_uf = False
                             f_pr = pt if pt is not None else d.pc4
                             fetched += 1
                             fetch_pc = f_pr
@@ -703,7 +686,6 @@ def run_pipeline_superblocks(sim):
                         f_d = d
                         f_pc = pc
                         f_fo = False
-                        f_uf = False
                         fetched += 1
                         fetch_pc = d.pc4
 
@@ -721,7 +703,6 @@ def run_pipeline_superblocks(sim):
                     w_d = m_d
                     w_pc = m_pc
                     w_fo = m_fo
-                    w_uf = m_uf
                     w_acq = m_acq
                     w_res = m_res
                     m_d = None
@@ -738,7 +719,6 @@ def run_pipeline_superblocks(sim):
                 m_d = e_d
                 m_pc = e_pc
                 m_fo = e_fo
-                m_uf = e_uf
                 m_acq = ar
                 m_done = False
                 m_res = e_res
@@ -757,7 +737,6 @@ def run_pipeline_superblocks(sim):
                         e_d = i_d
                         e_pc = i_pc
                         e_fo = i_fo
-                        e_uf = i_uf
                         e_pr = i_pr
                         e_acq = i_acq
                         e_done = False
@@ -766,7 +745,6 @@ def run_pipeline_superblocks(sim):
                     e_d = i_d
                     e_pc = i_pc
                     e_fo = i_fo
-                    e_uf = i_uf
                     e_pr = i_pr
                     e_acq = i_acq
                     e_done = False
@@ -780,7 +758,6 @@ def run_pipeline_superblocks(sim):
                     i_d = f_d
                     i_pc = f_pc
                     i_fo = f_fo
-                    i_uf = f_uf
                     i_pr = f_pr
                     i_acq = None
                     i_done = False
@@ -808,7 +785,6 @@ def run_pipeline_superblocks(sim):
         stats.branches = branches
         stats.branch_mispredicts = mispredicts
         stats.folds_committed = folds
-        stats.uncond_folds_committed = uncond_folds
         stats.predictor_lookups = lookups
         stats.jump_bubbles = jump_bubbles
         stats.jr_redirects = jr_redirects
@@ -843,7 +819,6 @@ def run_pipeline_superblocks(sim):
         if f_d is not None:
             s = _Slot(f_d, f_pc)
             s.folded = f_fo
-            s.uncond_folded = f_uf
             s.pred_next_pc = f_pr
             sim.s_if = s
         else:
@@ -851,7 +826,6 @@ def run_pipeline_superblocks(sim):
         if i_d is not None:
             s = _Slot(i_d, i_pc)
             s.folded = i_fo
-            s.uncond_folded = i_uf
             s.pred_next_pc = i_pr
             s.acquired_reg = i_acq
             s.id_done = i_done
@@ -861,7 +835,6 @@ def run_pipeline_superblocks(sim):
         if e_d is not None:
             s = _Slot(e_d, e_pc)
             s.folded = e_fo
-            s.uncond_folded = e_uf
             s.pred_next_pc = e_pr
             s.acquired_reg = e_acq
             s.ex_done = e_done
@@ -874,7 +847,6 @@ def run_pipeline_superblocks(sim):
         if m_d is not None:
             s = _Slot(m_d, m_pc)
             s.folded = m_fo
-            s.uncond_folded = m_uf
             s.acquired_reg = m_acq
             s.mem_done = m_done
             s.mem_wait = m_wait
@@ -887,7 +859,6 @@ def run_pipeline_superblocks(sim):
         if w_d is not None:
             s = _Slot(w_d, w_pc)
             s.folded = w_fo
-            s.uncond_folded = w_uf
             s.acquired_reg = w_acq
             s.result = w_res
             sim.s_wb = s

@@ -32,7 +32,6 @@ from repro.telemetry.events import (
     TraceEvent,
 )
 from repro.telemetry.sinks import (
-    CallbackSink,
     JsonlTraceSink,
     RingBufferSink,
     read_jsonl,
@@ -48,7 +47,6 @@ from repro.telemetry.timeline import lifecycle_cycles, render_pipeview
 
 __all__ = [
     "BranchPCStats",
-    "CallbackSink",
     "EVENT_KINDS",
     "SERVE_EVENT_KINDS",
     "FOLD_MISS_REASONS",

@@ -9,13 +9,13 @@ kind           meaning / payload (``data`` keys)
 =============  =====================================================
 ``fetch``      an instruction entered the IF stage.  For replacement
                (BTI/BFI) instructions ``data`` holds ``fold``
-               ("asbr" or "uncond") and ``branch_pc``.
+               ("asbr") and ``branch_pc``.
 ``decode``     ID-stage work ran (jump redirects, BDT acquire).
 ``issue``      EX-stage work ran; ``data["dest"]`` is the destination
                register when the instruction writes one.
 ``commit``     the instruction reached write-back.  Folded
                replacements carry ``fold_pc``/``fold_taken`` on both
-               machines; CRISP-style folds carry ``uncond_fold``.
+               machines.
 ``branch``     a conditional branch resolved in EX: ``taken``,
                ``target`` (actual next PC), ``pred`` (the fetch-stage
                assumption), ``misp`` and ``srcs`` (condition regs).
@@ -201,14 +201,6 @@ class TraceEvent:
 def emit_fetch(emit, cycle: int, pc: int, seq: int) -> None:
     """The instruction at ``pc`` entered fetch."""
     emit(TraceEvent(cycle, FETCH, pc, seq))
-
-
-def emit_uncond_fold(emit, cycle: int, tpc: int, seq: int,
-                     branch_pc: int) -> None:
-    """A CRISP-style fold: the target at ``tpc`` fetched in the slot of
-    the unconditional transfer at ``branch_pc``."""
-    emit(TraceEvent(cycle, FETCH, tpc, seq,
-                    {"fold": "uncond", "branch_pc": branch_pc}))
 
 
 def emit_fold_hit(emit, cycle: int, fold, branch_pc: int,

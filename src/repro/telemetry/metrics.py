@@ -8,9 +8,9 @@ into aggregates as the simulation runs:
 * one :class:`BranchPCStats` row per static branch PC: executions,
   taken count, mispredicts, commit-level fold hits split by direction,
   fetch-level fold attempts, fold misses split by reason, and a
-  producer-distance histogram (dynamic instructions between the
-  condition-defining instruction and the branch — the quantity the
-  paper's threshold rule is about, Section 5.2).
+  producer-distance histogram (issued instructions between the
+  condition-defining instruction's issue and the branch's own issue —
+  the quantity the paper's threshold rule is about, Section 5.2).
 
 Registries serialise to plain JSON-able dicts (:meth:`MetricsRegistry.
 to_dict` / :meth:`from_dict`) so they can ride alongside cached run
@@ -19,7 +19,7 @@ results, and :meth:`merge` sums them across the runs of a sweep.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.asbr.folding import MISS_BDT_BUSY, MISS_NO_BIT_ENTRY
 from repro.telemetry import events as ev
@@ -102,10 +102,21 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
         self.branches: Dict[int, BranchPCStats] = {}
-        # transient (not serialised): destination register -> the issue
-        # index of its most recent right-path producer, used to measure
-        # definition-to-branch distances in dynamic instructions.
-        self._writer: Dict[int, int] = {}
+        # transient (not serialised) producer-distance state, bounded by
+        # the in-flight window.  Distances count issued instructions
+        # from the condition's producer to the branch's own issue, which
+        # on the out-of-order machine comes well before its ``branch``
+        # event (emitted at commit).  Per register: its writers as
+        # (issue index, seq) in issue order, from the last committed
+        # one on — a squashed writer leaves, and the one before it
+        # counts again — and the issue index of the latest of them.
+        # Per in-flight writer seq: its register.  Per in-flight
+        # dest-less op (every branch is one): its issue index and the
+        # latest writer indices at that issue.
+        self._writers: Dict[int, List[Tuple[int, int]]] = {}
+        self._latest: Dict[int, int] = {}
+        self._writer_reg: Dict[int, int] = {}
+        self._at_issue: Dict[int, Tuple[int, Dict[int, int]]] = {}
         self._issue_index = 0
 
     # ------------------------------------------------------------------
@@ -120,10 +131,19 @@ class MetricsRegistry:
         kind = event.kind
         self.counters[kind] = self.counters.get(kind, 0) + 1
         if kind == ev.ISSUE:
+            index = self._issue_index
+            self._issue_index = index + 1
             dest = event.data.get("dest")
             if dest:
-                self._writer[dest] = self._issue_index
-            self._issue_index += 1
+                ws = self._writers.get(dest)
+                if ws is None:
+                    self._writers[dest] = [(index, event.seq)]
+                else:
+                    ws.append((index, event.seq))
+                self._writer_reg[event.seq] = dest
+                self._latest[dest] = index
+            else:
+                self._at_issue[event.seq] = (index, self._latest.copy())
         elif kind == ev.BRANCH:
             b = self._branch(event.pc)
             b.executions += 1
@@ -132,19 +152,34 @@ class MetricsRegistry:
                 b.taken += 1
             if data.get("misp"):
                 b.mispredicts += 1
-            # the branch's own issue event has already been counted, so
-            # its dynamic index is _issue_index - 1
-            my_index = self._issue_index - 1
-            dist = None
-            for reg in data.get("srcs", ()):
-                w = self._writer.get(reg)
-                if w is not None:
-                    d = my_index - w
-                    if dist is None or d < dist:
-                        dist = d
-            if dist is not None and dist > 0:
-                b.observe_distance(dist)
+            # absent only from a trace file that lost the branch's issue
+            at_issue = self._at_issue.get(event.seq)
+            if at_issue is not None:
+                my_index, writers = at_issue
+                dist = None
+                for reg in data.get("srcs", ()):
+                    w = writers.get(reg)
+                    if w is not None:
+                        d = my_index - w
+                        if dist is None or d < dist:
+                            dist = d
+                if dist is not None and dist > 0:
+                    b.observe_distance(dist)
         elif kind == ev.COMMIT:
+            seq = event.seq
+            self._at_issue.pop(seq, None)
+            reg = self._writer_reg.pop(seq, None)
+            if reg is not None:
+                # writers issued before a committed one never count
+                # again, even those still in flight
+                ws = self._writers[reg]
+                i = 0
+                while ws[i][1] != seq:
+                    i += 1
+                if i:
+                    for _index, older in ws[:i]:
+                        self._writer_reg.pop(older, None)
+                    del ws[:i]
             data = event.data
             fold_pc = data.get("fold_pc")
             if fold_pc is not None:
@@ -153,6 +188,17 @@ class MetricsRegistry:
                     b.fold_taken += 1
                 else:
                     b.fold_not_taken += 1
+        elif kind == ev.SQUASH:
+            self._at_issue.pop(event.seq, None)
+            reg = self._writer_reg.pop(event.seq, None)
+            if reg is not None:
+                ws = self._writers[reg]
+                ws[:] = [w for w in ws if w[1] != event.seq]
+                if ws:
+                    self._latest[reg] = ws[-1][0]
+                else:
+                    del self._writers[reg]
+                    del self._latest[reg]
         elif kind == ev.FOLD_HIT:
             self._branch(event.pc).fold_fetched += 1
         elif kind == ev.FOLD_MISS:
@@ -179,11 +225,6 @@ class MetricsRegistry:
     @property
     def total_fold_hits(self) -> int:
         return sum(b.fold_hits for b in self.branches.values())
-
-    @property
-    def total_fold_misses(self) -> int:
-        return sum(b.miss_no_bit + b.miss_bdt_busy
-                   for b in self.branches.values())
 
     def sorted_branches(self) -> List[tuple]:
         """(pc, stats) pairs, busiest branch first."""

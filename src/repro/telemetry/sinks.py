@@ -49,30 +49,6 @@ class RingBufferSink:
         return iter(self._events)
 
 
-class CallbackSink:
-    """Forwards every event to a callable — the streaming primitive.
-
-    ``CallbackSink(fn)`` turns any consumer (a queue feeding an HTTP
-    chunked response in :mod:`repro.serve`, a live dashboard, a test
-    probe) into a sink without subclassing.  Errors raised by the
-    callback are counted and swallowed: a slow or broken consumer must
-    never perturb the simulation it is watching.
-    """
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-        self.forwarded = 0
-        self.errors = 0
-
-    def emit(self, event: TraceEvent) -> None:
-        try:
-            self.fn(event)
-        except Exception:
-            self.errors += 1
-            return
-        self.forwarded += 1
-
-
 class JsonlTraceSink:
     """Streams events to a JSON-lines file with a hard size bound.
 

@@ -133,10 +133,7 @@ def _note(r: _Row, ooo: bool = False) -> str:
     if ooo:
         parts.append("<ooo")
     if r.fold is not None:
-        kind = r.fold.get("fold")
-        parts.append("folds %s 0x%x"
-                     % ("branch" if kind == "asbr" else "jump",
-                        r.fold.get("branch_pc", 0)))
+        parts.append("folds branch 0x%x" % r.fold.get("branch_pc", 0))
     if r.branch is not None:
         parts.append("taken" if r.branch.get("taken") else "not-taken")
         if r.branch.get("misp"):

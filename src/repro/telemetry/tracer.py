@@ -54,10 +54,6 @@ class Tracer:
         """The first attached metrics registry, if any."""
         return self.find_sink(MetricsRegistry)
 
-    @property
-    def ring(self) -> Optional[RingBufferSink]:
-        return self.find_sink(RingBufferSink)
-
 
 def make_tracer(ring_capacity: Optional[int] = None,
                 jsonl_path: Optional[str] = None,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 def load_jsonl(path: str) -> Tuple[List[dict], int]:
@@ -141,12 +141,3 @@ class JsonlWal:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def wal_size(path: str) -> Optional[int]:
-    """Size of a WAL file in bytes, or None when absent (introspection
-    for stats endpoints and tests)."""
-    try:
-        return os.path.getsize(path)
-    except OSError:
-        return None

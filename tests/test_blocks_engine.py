@@ -200,16 +200,16 @@ def test_hot_folded_branch_decodes_target_exactly_once(monkeypatch):
     from repro.profiling import BranchProfiler, select_branches
     from repro.workloads import get_workload
     from repro.workloads.inputs import speech_like
-    import repro.sim.pipeline as pl
+    import repro.sim.core as core
 
     counts = Counter()
-    real_decode = pl._decode
+    real_decode = core._decode
 
     def counting_decode(instr, pc, *args, **kwargs):
         counts[(id(instr), pc)] += 1
         return real_decode(instr, pc, *args, **kwargs)
 
-    monkeypatch.setattr(pl, "_decode", counting_decode)
+    monkeypatch.setattr(core, "_decode", counting_decode)
 
     wl = get_workload("adpcm_enc")
     pcm = speech_like(96, seed=11)
@@ -221,7 +221,9 @@ def test_hot_folded_branch_decodes_target_exactly_once(monkeypatch):
     sim = PipelineSimulator(wl.program, wl.build_memory(stream),
                             predictor=make_predictor("bimodal-512-512"),
                             asbr=asbr)
-    stats = sim.run()
+    # the reference loop folds through the memo on every fetch; the
+    # compiled loop decodes each BIT entry once up front, memo or not
+    stats = sim.run_reference()
     assert stats.folds_committed > 100    # the folds were genuinely hot
     assert counts, "decode was never called"
     assert max(counts.values()) == 1, \

@@ -5,16 +5,16 @@ compiled loops: for ~200 seeded random programs (generated by
 :mod:`repro.testing`, the same construction the existing equivalence
 suite uses), the cycle-accurate pipeline must end with *exactly* the
 architectural state of the functional golden model — registers, memory,
-and the retired-instruction ledger — with unconditional folding both off
-and on.  The golden side always runs each simulator's reference loop
-(``run_reference``).  Every case runs once on the reference loops and
-once on the compiled loops an unobserved ``run()`` takes (the block
-translator, the superblocks pipeline loop), which must be bit-identical
-to the reference: same architectural state for the functional
-simulator, same full ``PipelineStats`` for the pipeline.  The
-parametrization IDs keep the names the loops were once selected by:
-``interp`` is the reference, ``blocks`` and ``superblocks`` the
-compiled loop.
+and the retired-instruction ledger.  The golden side always runs each
+simulator's reference loop (``run_reference``).  Every case runs once
+on the reference loops and once on the compiled loops an unobserved
+``run()`` takes (the block translator, the superblocks pipeline loop),
+which must be bit-identical to the reference: same architectural state
+for the functional simulator, same full ``PipelineStats`` for the
+pipeline.  The parametrization IDs keep the names the loops were once
+selected by: ``interp`` is the reference, ``blocks`` and
+``superblocks`` the compiled loop.  They also keep ``nofold``, the off
+side of the unconditional-folding axis the sweep once had.
 
 Since PR 8 the sweep is 3-way: the out-of-order backend
 (:mod:`repro.sim.ooo`) must commit *the exact program-order pc stream*
@@ -24,8 +24,8 @@ rename/recovery/commit against speculation bugs that final-state
 comparison alone can miss.
 
 A small seed subset runs in tier-1 on every ``pytest`` invocation; the
-full 200-program sweep is the nightly ``-m slow`` path (see
-``pyproject.toml``).
+full 200-program sweep is the ``-m slow`` path (see ``pyproject.toml``),
+which CI runs as a step of its own.
 """
 
 import dataclasses
@@ -48,27 +48,28 @@ FAST_SEEDS = ALL_SEEDS[:12]
 #: the loop parametrization: the reference loops, then the compiled ones
 LOOPS = [True, False]
 
-#: reference-loop state, computed once per (seed, fold) and shared by
-#: both loop parametrizations
+#: the one-valued axis that keeps the ``nofold`` segment of the IDs
+NOFOLD = pytest.mark.parametrize("fold", ["nofold"])
+
+#: reference-loop state, computed once per seed and shared by both
+#: loop parametrizations
 _REFERENCE = {}
 
 
-def _reference(seed, fold_unconditional):
-    key = (seed, fold_unconditional)
-    if key not in _REFERENCE:
+def _reference(seed):
+    if seed not in _REFERENCE:
         prog = random_program(seed, units=14)
         fsim = FunctionalSimulator(prog)
         retired = fsim.run_reference(max_instructions=200_000)
-        psim = PipelineSimulator(prog,
-                                 fold_unconditional=fold_unconditional)
+        psim = PipelineSimulator(prog)
         pstats = dataclasses.asdict(psim.run_reference())
-        _REFERENCE[key] = (fsim.regs.snapshot(), fsim.memory.snapshot(),
-                           retired, pstats)
-    return _REFERENCE[key]
+        _REFERENCE[seed] = (fsim.regs.snapshot(), fsim.memory.snapshot(),
+                            retired, pstats)
+    return _REFERENCE[seed]
 
 
-def _check_one(seed, fold_unconditional, reference):
-    regs, mem, retired, pstats = _reference(seed, fold_unconditional)
+def _check_one(seed, reference):
+    regs, mem, retired, pstats = _reference(seed)
     prog = random_program(seed, units=14)
 
     fsim = FunctionalSimulator(prog)
@@ -78,7 +79,7 @@ def _check_one(seed, fold_unconditional, reference):
     assert fsim.memory.snapshot() == mem, "memory state diverged"
     assert fret == retired, "retired-instruction count diverged"
 
-    sim = PipelineSimulator(prog, fold_unconditional=fold_unconditional)
+    sim = PipelineSimulator(prog)
     stats = sim.run_reference() if reference else sim.run()
     # timing must be bit-identical across loops, architectural state
     # identical to the golden model
@@ -87,25 +88,22 @@ def _check_one(seed, fold_unconditional, reference):
     assert sim.memory.snapshot() == mem, "memory state diverged"
     # every retired instruction is accounted for: a fold retires the
     # replacement instruction instead of the branch it elides
-    assert stats.committed + stats.folds_committed \
-        + stats.uncond_folds_committed == retired
-    if not fold_unconditional:
-        assert stats.uncond_folds_committed == 0
+    assert stats.committed + stats.folds_committed == retired
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)
-@pytest.mark.parametrize("fold", [False, True], ids=["nofold", "fold"])
+@NOFOLD
 @pytest.mark.parametrize("reference", LOOPS, ids=["interp", "blocks"])
 def test_differential_fast_subset(seed, fold, reference):
-    _check_one(seed, fold, reference)
+    _check_one(seed, reference)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", ALL_SEEDS[len(FAST_SEEDS):])
-@pytest.mark.parametrize("fold", [False, True], ids=["nofold", "fold"])
+@NOFOLD
 @pytest.mark.parametrize("reference", LOOPS, ids=["interp", "blocks"])
 def test_differential_full_sweep(seed, fold, reference):
-    _check_one(seed, fold, reference)
+    _check_one(seed, reference)
 
 
 # ----------------------------------------------------------------------
@@ -149,45 +147,43 @@ def test_differential_asbr_engines_full_sweep(seed, update):
 # ----------------------------------------------------------------------
 # decoupled front end: same architectural contract, random programs
 # ----------------------------------------------------------------------
-def _check_frontend(seed, fold_unconditional, fdip):
+def _check_frontend(seed, fdip):
     """The frontend-attached pipeline must retire exactly the golden
     architectural state: random programs exercise the BPU's unresolved
     gate (jr/halt), FTQ squash recovery, jump steering and ASBR-less
     branch prediction far more adversarially than the codecs do."""
     from repro.frontend import FrontendConfig
 
-    regs, mem, retired, _pstats = _reference(seed, fold_unconditional)
+    regs, mem, retired, _pstats = _reference(seed)
     prog = random_program(seed, units=14)
-    sim = PipelineSimulator(prog, fold_unconditional=fold_unconditional,
-                            frontend=FrontendConfig(fdip=fdip))
+    sim = PipelineSimulator(prog, frontend=FrontendConfig(fdip=fdip))
     stats = sim.run()
     assert sim.regs.snapshot() == regs, "register state diverged"
     assert sim.memory.snapshot() == mem, "memory state diverged"
-    assert stats.committed + stats.folds_committed \
-        + stats.uncond_folds_committed == retired
+    assert stats.committed + stats.folds_committed == retired
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)
-@pytest.mark.parametrize("fold", [False, True], ids=["nofold", "fold"])
+@NOFOLD
 @pytest.mark.parametrize("fdip", [False, True], ids=["nofdip", "fdip"])
 def test_differential_frontend_fast_subset(seed, fold, fdip):
-    _check_frontend(seed, fold, fdip)
+    _check_frontend(seed, fdip)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", ALL_SEEDS[len(FAST_SEEDS):])
-@pytest.mark.parametrize("fold", [False, True], ids=["nofold", "fold"])
+@NOFOLD
 @pytest.mark.parametrize("fdip", [False, True], ids=["nofdip", "fdip"])
 def test_differential_frontend_full_sweep(seed, fold, fdip):
-    _check_frontend(seed, fold, fdip)
+    _check_frontend(seed, fdip)
 
 
 # ----------------------------------------------------------------------
 # out-of-order backend: 3-way, down to the per-commit pc stream
 # ----------------------------------------------------------------------
 
-#: functional retirement pc stream per seed (fold-independent: a folded
-#: branch commits as [branch pc, replacement pc] — the same stream)
+#: functional retirement pc stream per seed (an ASBR-folded branch
+#: commits as [branch pc, replacement pc] — the same stream)
 _PC_STREAM = {}
 
 
@@ -214,7 +210,7 @@ def _asbr_for(prog, update="execute"):
     return ASBRUnit.from_branch_infos(infos[:16], bdt_update=update)
 
 
-def _check_ooo(seed, fold_unconditional, width, frontend_mode):
+def _check_ooo(seed, width, frontend_mode):
     """The OoO machine must commit exactly the functional pc stream.
 
     Random programs hit the hard corners: checkpoint restore under
@@ -222,7 +218,7 @@ def _check_ooo(seed, fold_unconditional, width, frontend_mode):
     path fetch through the BPU, jr fetch blocking and BDT-saturation
     back-pressure.
     """
-    regs, mem, retired, _pstats = _reference(seed, fold_unconditional)
+    regs, mem, retired, _pstats = _reference(seed)
     prog = random_program(seed, units=14)
     frontend = None
     if frontend_mode is not None:
@@ -230,44 +226,40 @@ def _check_ooo(seed, fold_unconditional, width, frontend_mode):
         frontend = FrontendConfig(fdip=(frontend_mode == "fdip"))
     commit_log = []
     sim = OoOSimulator(prog, asbr=_asbr_for(prog),
-                       fold_unconditional=fold_unconditional,
                        config=OoOConfig(issue_width=width),
                        frontend=frontend, commit_log=commit_log)
     stats = sim.run()
     assert sim.regs.snapshot() == regs, "register state diverged"
     assert sim.memory.snapshot() == mem, "memory state diverged"
-    assert stats.committed + stats.folds_committed \
-        + stats.uncond_folds_committed == retired
+    assert stats.committed + stats.folds_committed == retired
     assert commit_log == _pc_stream(seed), "commit pc stream diverged"
-    if not fold_unconditional:
-        assert stats.uncond_folds_committed == 0
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)
-@pytest.mark.parametrize("fold", [False, True], ids=["nofold", "fold"])
+@NOFOLD
 @pytest.mark.parametrize("width", [1, 2, 4])
 def test_differential_ooo_fast_subset(seed, fold, width):
-    _check_ooo(seed, fold, width, None)
+    _check_ooo(seed, width, None)
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS[:6])
-@pytest.mark.parametrize("fold", [False, True], ids=["nofold", "fold"])
+@NOFOLD
 @pytest.mark.parametrize("fe", ["fe", "fdip"])
 def test_differential_ooo_frontend_fast_subset(seed, fold, fe):
-    _check_ooo(seed, fold, 2, fe)
+    _check_ooo(seed, 2, fe)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", ALL_SEEDS[len(FAST_SEEDS):])
-@pytest.mark.parametrize("fold", [False, True], ids=["nofold", "fold"])
+@NOFOLD
 @pytest.mark.parametrize("width", [1, 2, 4])
 def test_differential_ooo_full_sweep(seed, fold, width):
-    _check_ooo(seed, fold, width, None)
+    _check_ooo(seed, width, None)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", ALL_SEEDS[len(FAST_SEEDS):])
-@pytest.mark.parametrize("fold", [False, True], ids=["nofold", "fold"])
+@NOFOLD
 @pytest.mark.parametrize("fe", ["fe", "fdip"])
 def test_differential_ooo_frontend_full_sweep(seed, fold, fe):
-    _check_ooo(seed, fold, 2, fe)
+    _check_ooo(seed, 2, fe)

@@ -24,8 +24,7 @@ _ops = st.lists(st.sampled_from(["push", "pop", "mark", "squash"]),
 
 
 def _entry(i):
-    return FTQEntry(pc=0x400 + i * 4, fetch_addr=0x400 + i * 4,
-                    pred_next_pc=0x404 + i * 4)
+    return FTQEntry(pc=0x400 + i * 4, pred_next_pc=0x404 + i * 4)
 
 
 @given(ops=_ops)

@@ -161,8 +161,7 @@ def test_blocks_engine_falls_back_with_frontend(pcm, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# jump steering (needs a program whose jumps reach ID: uncond folding
-# off is the simulator default)
+# jump steering (needs a program whose jumps reach ID)
 # ----------------------------------------------------------------------
 def test_ftq_steers_resolved_jumps():
     from repro.asm import assemble

@@ -83,7 +83,6 @@ class TestRecovery:
         assert stats.avg_squash_depth >= 0.0
         # fetched instructions either commit (incl. folds) or squash
         assert stats.fetched == (stats.committed + stats.folds_committed
-                                 + stats.uncond_folds_committed
                                  + stats.squashed)
 
     def test_rob_occupancy_bounded(self):

@@ -12,7 +12,8 @@ Two locks mirror the in-order pipeline's telemetry tests:
 
 and the reconciliation lock: the per-branch tables a run's events
 build count exactly the branches, mispredicts and folds its
-:class:`OoOStats` count, so fold coverage has one definition.
+:class:`OoOStats` count, so fold coverage has one definition.  Their
+producer distances run to the branch's own issue, not its commit.
 """
 
 import dataclasses
@@ -149,15 +150,47 @@ def test_branch_tables_reconcile_with_stats(bench, width, asbr, fdip):
         assert stats.folds_committed > 0
 
 
-def test_unconditional_folds_stay_out_of_the_branch_tables():
-    uncond = 0
-    for seed in range(6):
-        prog = random_program(seed, units=14)
-        registry = MetricsRegistry()
-        ring = RingBufferSink(capacity=1_000_000)
-        stats = OoOSimulator(prog, asbr=_asbr_for(prog),
-                             fold_unconditional=True,
-                             trace=Tracer(registry, ring)).run()
-        assert_tables_reconcile(stats, registry, ring.events)
-        uncond += stats.uncond_folds_committed
-    assert uncond > 0
+# ----------------------------------------------------------------------
+# producer distances end at the branch's own issue
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bench, asbr, pc, distances", [
+    ("huffman_dec", True, 0x400038, {1: 319}),
+    # a writer that a SQUASH kills stops counting and the writer before
+    # it counts again; without that, buckets 19 and 20 read 3 and 13
+    ("adpcm_enc", False, 0x4000d0,
+     {17: 16, 18: 15, 19: 2, 20: 14, 21: 34, 22: 17, 23: 6, 24: 16,
+      25: 18, 26: 1, 27: 2, 28: 1, 29: 3, 32: 5}),
+], ids=["huffman_dec-asbr", "adpcm_enc-plain"])
+def test_producer_distances_end_at_the_branch_issue(bench, asbr, pc,
+                                                     distances):
+    """The machine emits ``branch`` at commit: ops that issue between
+    the branch's issue and its commit stay out of its distance."""
+    spec = RunSpec(bench, 150, 7, "bimodal-512-512", with_asbr=asbr,
+                   backend="ooo", issue_width=1)
+    registry = MetricsRegistry()
+    _execute(spec, trace=Tracer(registry))
+    assert registry.branches[pc].distances == distances
+
+
+class _WindowProbe(MetricsRegistry):
+    """A registry that records the peak size of its per-op state."""
+
+    peak = 0
+
+    def emit(self, event):
+        super().emit(event)
+        self.peak = max(self.peak, len(self._at_issue),
+                        len(self._writer_reg))
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_distance_state_stays_in_the_window(width):
+    """Per-op distance state lives only while the op is in flight, also
+    for a writer that issued before an older one committed and itself
+    commits or squashes later."""
+    prog = random_program(0, units=14)
+    cfg = OoOConfig(issue_width=width)
+    probe = _WindowProbe()
+    OoOSimulator(prog, asbr=_asbr_for(prog), config=cfg,
+                 trace=Tracer(probe)).run()
+    assert 0 < probe.peak <= cfg.rob_size + 2 * width

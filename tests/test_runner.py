@@ -101,7 +101,7 @@ LOCKED_KEYS = [
                          ids=["plain", "asbr-mem", "frontend-fdip",
                               "ooo-4wide"])
 def test_cache_key_locked(spec, key, monkeypatch):
-    assert CACHE_VERSION == 8
+    assert CACHE_VERSION == 9
     current = key_for_spec(spec)
     monkeypatch.setattr(repro.runner.cache, "CACHE_VERSION", 7)
     assert key_for_spec(spec) == key

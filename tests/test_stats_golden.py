@@ -38,7 +38,7 @@ GOLDEN = {
     ("adpcm_enc", "not-taken", False): {
         'cycles': 6402, 'committed': 4542, 'fetched': 5351, 'squashed': 809,
         'branches': 1004, 'branch_mispredicts': 809, 'folds_committed': 0,
-        'uncond_folds_committed': 0, 'predictor_lookups': 1004,
+        'predictor_lookups': 1004,
         'jump_bubbles': 0, 'jr_redirects': 0, 'load_use_stalls': 0,
         'icache_miss_stalls': 80, 'dcache_miss_stalls': 184,
         'icache_accesses': 5351, 'icache_misses': 10, 'dcache_accesses': 385,
@@ -47,7 +47,7 @@ GOLDEN = {
     ("adpcm_enc", "bimodal-512-512", False): {
         'cycles': 5144, 'committed': 4542, 'fetched': 4722, 'squashed': 180,
         'branches': 1004, 'branch_mispredicts': 180, 'folds_committed': 0,
-        'uncond_folds_committed': 0, 'predictor_lookups': 1004,
+        'predictor_lookups': 1004,
         'jump_bubbles': 0, 'jr_redirects': 0, 'load_use_stalls': 0,
         'icache_miss_stalls': 80, 'dcache_miss_stalls': 184,
         'icache_accesses': 4722, 'icache_misses': 10, 'dcache_accesses': 385,
@@ -56,7 +56,7 @@ GOLDEN = {
     ("adpcm_enc", "bimodal-512-512", True): {
         'cycles': 4328, 'committed': 4062, 'fetched': 4069, 'squashed': 7,
         'branches': 524, 'branch_mispredicts': 7, 'folds_committed': 480,
-        'uncond_folds_committed': 0, 'predictor_lookups': 524,
+        'predictor_lookups': 524,
         'jump_bubbles': 0, 'jr_redirects': 0, 'load_use_stalls': 0,
         'icache_miss_stalls': 80, 'dcache_miss_stalls': 184,
         'icache_accesses': 4069, 'icache_misses': 10, 'dcache_accesses': 385,
@@ -65,7 +65,7 @@ GOLDEN = {
     ("adpcm_dec", "not-taken", False): {
         'cycles': 5374, 'committed': 3525, 'fetched': 4281, 'squashed': 756,
         'branches': 908, 'branch_mispredicts': 756, 'folds_committed': 0,
-        'uncond_folds_committed': 0, 'predictor_lookups': 908,
+        'predictor_lookups': 908,
         'jump_bubbles': 0, 'jr_redirects': 0, 'load_use_stalls': 96,
         'icache_miss_stalls': 64, 'dcache_miss_stalls': 192,
         'icache_accesses': 4281, 'icache_misses': 8, 'dcache_accesses': 385,
@@ -74,7 +74,7 @@ GOLDEN = {
     ("adpcm_dec", "bimodal-512-512", False): {
         'cycles': 4150, 'committed': 3525, 'fetched': 3669, 'squashed': 144,
         'branches': 908, 'branch_mispredicts': 144, 'folds_committed': 0,
-        'uncond_folds_committed': 0, 'predictor_lookups': 908,
+        'predictor_lookups': 908,
         'jump_bubbles': 0, 'jr_redirects': 0, 'load_use_stalls': 96,
         'icache_miss_stalls': 64, 'dcache_miss_stalls': 192,
         'icache_accesses': 3669, 'icache_misses': 8, 'dcache_accesses': 385,
@@ -83,7 +83,7 @@ GOLDEN = {
     ("adpcm_dec", "bimodal-512-512", True): {
         'cycles': 3492, 'committed': 3141, 'fetched': 3148, 'squashed': 7,
         'branches': 524, 'branch_mispredicts': 7, 'folds_committed': 384,
-        'uncond_folds_committed': 0, 'predictor_lookups': 524,
+        'predictor_lookups': 524,
         'jump_bubbles': 0, 'jr_redirects': 0, 'load_use_stalls': 96,
         'icache_miss_stalls': 64, 'dcache_miss_stalls': 192,
         'icache_accesses': 3148, 'icache_misses': 8, 'dcache_accesses': 385,
@@ -92,7 +92,7 @@ GOLDEN = {
     ("g721_enc", "not-taken", False): {
         'cycles': 43688, 'committed': 31943, 'fetched': 36559,
         'squashed': 4616, 'branches': 6057, 'branch_mispredicts': 4616,
-        'folds_committed': 0, 'uncond_folds_committed': 0,
+        'folds_committed': 0,
         'predictor_lookups': 6057, 'jump_bubbles': 0, 'jr_redirects': 0,
         'load_use_stalls': 1851, 'icache_miss_stalls': 192,
         'dcache_miss_stalls': 518,
@@ -102,7 +102,7 @@ GOLDEN = {
     ("g721_enc", "bimodal-512-512", False): {
         'cycles': 35440, 'committed': 31943, 'fetched': 32435,
         'squashed': 492, 'branches': 6057, 'branch_mispredicts': 492,
-        'folds_committed': 0, 'uncond_folds_committed': 0,
+        'folds_committed': 0,
         'predictor_lookups': 6057, 'jump_bubbles': 0, 'jr_redirects': 0,
         'load_use_stalls': 1851, 'icache_miss_stalls': 192,
         'dcache_miss_stalls': 518,
@@ -112,7 +112,7 @@ GOLDEN = {
     ("g721_enc", "bimodal-512-512", True): {
         'cycles': 32552, 'committed': 29653, 'fetched': 29842,
         'squashed': 189, 'branches': 3767, 'branch_mispredicts': 189,
-        'folds_committed': 2290, 'uncond_folds_committed': 0,
+        'folds_committed': 2290,
         'predictor_lookups': 3767, 'jump_bubbles': 0, 'jr_redirects': 0,
         'load_use_stalls': 1851, 'icache_miss_stalls': 192,
         'dcache_miss_stalls': 518,

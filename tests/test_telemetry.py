@@ -60,7 +60,7 @@ def _fold_demo_asbr(program, bdt_update="execute"):
 
 
 def _run_pair(source, predictor_spec=None, asbr=False,
-              bdt_update="execute", fold_unconditional=False):
+              bdt_update="execute"):
     """(plain stats, traced stats, registry, ring) for one config."""
     def build(trace):
         prog = assemble(source)
@@ -69,9 +69,7 @@ def _run_pair(source, predictor_spec=None, asbr=False,
             kwargs["predictor"] = make_predictor(predictor_spec)
         if asbr:
             kwargs["asbr"] = _fold_demo_asbr(prog, bdt_update)
-        return PipelineSimulator(prog, trace=trace,
-                                 fold_unconditional=fold_unconditional,
-                                 **kwargs)
+        return PipelineSimulator(prog, trace=trace, **kwargs)
 
     plain = build(None).run()
     registry, ring = MetricsRegistry(), RingBufferSink()
@@ -80,15 +78,12 @@ def _run_pair(source, predictor_spec=None, asbr=False,
 
 
 CONFIGS = [
-    ("count-default", COUNT_LOOP, None, False, "execute", False),
-    ("count-bimodal", COUNT_LOOP, "bimodal-512-512", False, "execute",
-     False),
-    ("fold-gshare", FOLD_DEMO, "gshare-512-8", False, "execute", False),
-    ("fold-asbr-execute", FOLD_DEMO, "bimodal-512-512", True, "execute",
-     False),
-    ("fold-asbr-commit", FOLD_DEMO, "bimodal-512-512", True, "commit",
-     False),
-    ("fold-uncond", FOLD_DEMO, None, False, "execute", True),
+    ("count-default", COUNT_LOOP, None, False, "execute"),
+    ("count-bimodal", COUNT_LOOP, "bimodal-512-512", False, "execute"),
+    ("fold-default", FOLD_DEMO, None, False, "execute"),
+    ("fold-gshare", FOLD_DEMO, "gshare-512-8", False, "execute"),
+    ("fold-asbr-execute", FOLD_DEMO, "bimodal-512-512", True, "execute"),
+    ("fold-asbr-commit", FOLD_DEMO, "bimodal-512-512", True, "commit"),
 ]
 
 
@@ -96,12 +91,10 @@ class TestTracedEquivalence:
     """The tracer is an observer, never a participant."""
 
     @pytest.mark.parametrize(
-        "source,predictor,asbr,bdt_update,uncond",
+        "source,predictor,asbr,bdt_update",
         [c[1:] for c in CONFIGS], ids=[c[0] for c in CONFIGS])
-    def test_stats_identical(self, source, predictor, asbr, bdt_update,
-                             uncond):
-        plain, traced, _, _ = _run_pair(
-            source, predictor, asbr, bdt_update, uncond)
+    def test_stats_identical(self, source, predictor, asbr, bdt_update):
+        plain, traced, _, _ = _run_pair(source, predictor, asbr, bdt_update)
         assert dataclasses.asdict(plain) == dataclasses.asdict(traced)
 
     def test_architectural_state_identical(self):
@@ -348,7 +341,7 @@ STREAM_CODECS = ("adpcm_enc", "adpcm_dec", "g721_enc", "g721_dec",
 
 
 def _codec_builds(codec, predictor, configs):
-    """One simulator builder per ``(bdt_update, fdip, uncond)`` config:
+    """One simulator builder per ``(bdt_update, fdip)`` config:
     a small input, a fresh memory image per run and, with ASBR, the BIT
     selected by :func:`profile_and_select` on that input."""
     wl = get_workload(codec)
@@ -356,64 +349,64 @@ def _codec_builds(codec, predictor, configs):
     stream = wl.input_stream(pcm)
     count = wl.count_fn(pcm)
     builds = []
-    for bdt_update, fdip, uncond in configs:
+    for bdt_update, fdip in configs:
         infos = None
         if bdt_update is not None:
             infos = profile_and_select(
                 wl.program, wl.build_memory(stream, count),
                 bdt_update=bdt_update).selection.infos
 
-        def build(trace, bdt_update=bdt_update, fdip=fdip, uncond=uncond,
-                  infos=infos):
+        def build(trace, bdt_update=bdt_update, fdip=fdip, infos=infos):
             asbr = None
             if infos is not None:
                 asbr = ASBRUnit.from_branch_infos(infos,
                                                   bdt_update=bdt_update)
             return PipelineSimulator(
                 wl.program, wl.build_memory(stream, count),
-                predictor=make_predictor(predictor), asbr=asbr,
-                fold_unconditional=uncond, trace=trace,
+                predictor=make_predictor(predictor), asbr=asbr, trace=trace,
                 frontend=FrontendConfig(fdip=True) if fdip else None)
         builds.append(build)
     return builds
 
 
-#: tier-1 grid: label -> (bdt_update, fdip, fold_unconditional)
+#: tier-1 grid: label -> (bdt_update, fdip)
 STREAM_CONFIGS = {
-    "plain": (None, False, False),
-    "execute": ("execute", False, False),
-    "mem-fdip": ("mem", True, False),
-    "commit-uncond": ("commit", False, True),
+    "plain": (None, False),
+    "execute": ("execute", False),
+    "mem-fdip": ("mem", True),
+    "commit": ("commit", False),
 }
 
 #: "<codec>-<config>" -> digest of one traced bimodal-512-512 run.  The
 #: digests of this section were recorded from the hand-kept traced copy
 #: of tick() that the guarded emit sites replaced: equal digests mean
 #: the same events, in the same order, with the same payloads.  They
-#: were re-recorded once when the stats record gained its cache and
-#: fold counters, after hashing only the earlier 14 fields had
-#: reproduced every old digest
+#: were re-recorded when the stats record gained its cache and fold
+#: counters, after hashing only the earlier 14 fields had reproduced
+#: every old digest, and when it lost its CRISP unconditional-fold
+#: counter, after hashing that counter back in as 0 had reproduced
+#: every digest of a run without CRISP folding (here and below)
 STREAM_DIGESTS = {
-    "adpcm_enc-plain": "ad204ec1082e5410",
-    "adpcm_enc-execute": "f0a0c63a41b91c6c",
-    "adpcm_enc-mem-fdip": "ab99bd9d9b703d53",
-    "adpcm_enc-commit-uncond": "e5c6979f81f894ed",
-    "adpcm_dec-plain": "6fa7970fca9e4694",
-    "adpcm_dec-execute": "17fe8c6aaf446d80",
-    "adpcm_dec-mem-fdip": "bb0865051d696315",
-    "adpcm_dec-commit-uncond": "7bf93e5166219fba",
-    "g721_enc-plain": "758a34a863738477",
-    "g721_enc-execute": "c6e3dac4dff1e1fd",
-    "g721_enc-mem-fdip": "d2eef4763f389e35",
-    "g721_enc-commit-uncond": "ac3bdad568977f33",
-    "g721_dec-plain": "95494ac8c3e51dc1",
-    "g721_dec-execute": "fd61a8eec0b3b341",
-    "g721_dec-mem-fdip": "df72eb656d71dbce",
-    "g721_dec-commit-uncond": "d60dff89eef6dd16",
-    "huffman_dec-plain": "9385f4a966a19965",
-    "huffman_dec-execute": "7f86f53f4de6c481",
-    "huffman_dec-mem-fdip": "76a1391e4e4d0178",
-    "huffman_dec-commit-uncond": "97a2c354cd342622",
+    "adpcm_enc-plain": "751a3b04cd3e6740",
+    "adpcm_enc-execute": "c296209364b2206d",
+    "adpcm_enc-mem-fdip": "d0fab724dfd8e42f",
+    "adpcm_enc-commit": "4ec2fe57734b1d44",
+    "adpcm_dec-plain": "eab2d2b67ed86588",
+    "adpcm_dec-execute": "174ddcc223f347fa",
+    "adpcm_dec-mem-fdip": "685ab590d24a5c08",
+    "adpcm_dec-commit": "d6f2ef51ff6bdf88",
+    "g721_enc-plain": "421950d1f532b551",
+    "g721_enc-execute": "ff69166c0c0f0e1c",
+    "g721_enc-mem-fdip": "00803047bab95d8c",
+    "g721_enc-commit": "50fd1ae704de4cf7",
+    "g721_dec-plain": "031dbb967a55b524",
+    "g721_dec-execute": "d6eb1268bac6d66c",
+    "g721_dec-mem-fdip": "e230a74e3d48df1d",
+    "g721_dec-commit": "4b8cd6d525bd83fa",
+    "huffman_dec-plain": "1d58f19bc5e242ee",
+    "huffman_dec-execute": "3bbba49bec19722f",
+    "huffman_dec-mem-fdip": "6feb2107ff132197",
+    "huffman_dec-commit": "e04d57f6eea3c0d8",
 }
 
 #: the live BDT bit of tests/test_faults_inject.py: ``beqz r9`` reads
@@ -424,36 +417,36 @@ LIVE_DIR = FaultSite(BDT_DIR, "EQZ", 9, 0)
 
 #: "<protection>-<cycle>" -> digest of one traced fault-injected run
 FAULT_DIGESTS = {
-    "none-30": "0c1f626e70d25c67",
-    "none-46": "9258d54a4f1581d0",
-    "parity-30": "452114c2b8481736",
-    "parity-46": "c35c8665dc29926c",
-    "ecc-30": "697e4cce725da533",
-    "ecc-46": "c5eef7720100ea43",
+    "none-30": "546a2ce8fa042d13",
+    "none-46": "fafbe5302d8347aa",
+    "parity-30": "a54ae9978fecf365",
+    "parity-46": "3055444814969262",
+    "ecc-30": "b025b05d4ac15fa6",
+    "ecc-46": "078153ff184b4601",
 }
 
-#: slow grid: "<codec>-<predictor>" -> one digest over 16 traced runs,
-#: {none, execute, mem, commit} x {coupled, FDIP} x fold_unconditional
+#: slow grid: "<codec>-<predictor>" -> one digest over 8 traced runs,
+#: {none, execute, mem, commit} x {coupled, FDIP}
 GRID_DIGESTS = {
-    "adpcm_enc-not-taken": "00f51f8c2b474d91",
-    "adpcm_enc-bimodal-512-512": "f0e9654230da42c9",
-    "adpcm_enc-gshare-512-8": "7c88631d0e845a0e",
-    "adpcm_dec-not-taken": "a1f8dd038b8cf2e6",
-    "adpcm_dec-bimodal-512-512": "30a38814110c5718",
-    "adpcm_dec-gshare-512-8": "bd4c072e352a446d",
-    "g721_enc-not-taken": "ca4187ad339330c5",
-    "g721_enc-bimodal-512-512": "b15a079126c6cfdb",
-    "g721_enc-gshare-512-8": "849252ed83d14f3c",
-    "g721_dec-not-taken": "f65975b48f95e275",
-    "g721_dec-bimodal-512-512": "1df42e6e9de09a74",
-    "g721_dec-gshare-512-8": "7390b6490b776c3b",
-    "huffman_dec-not-taken": "aa16d1f95dd9d574",
-    "huffman_dec-bimodal-512-512": "3625270f21f73889",
-    "huffman_dec-gshare-512-8": "12435ff8476e2c44",
+    "adpcm_enc-not-taken": "3e20dd9844c67cd6",
+    "adpcm_enc-bimodal-512-512": "e4e75c36149c4a91",
+    "adpcm_enc-gshare-512-8": "fec177cbb3358137",
+    "adpcm_dec-not-taken": "173346488d9f27fc",
+    "adpcm_dec-bimodal-512-512": "8adf88eae0c8722b",
+    "adpcm_dec-gshare-512-8": "5b329035f392804c",
+    "g721_enc-not-taken": "18d92a5393117e5c",
+    "g721_enc-bimodal-512-512": "779497a535d589fe",
+    "g721_enc-gshare-512-8": "d2764267983fc028",
+    "g721_dec-not-taken": "cf6d81e469cc8c2b",
+    "g721_dec-bimodal-512-512": "bdeea24680ca0c19",
+    "g721_dec-gshare-512-8": "d80f32b05095866b",
+    "huffman_dec-not-taken": "27894ca078465e44",
+    "huffman_dec-bimodal-512-512": "3c10f9b0771d1616",
+    "huffman_dec-gshare-512-8": "e77a614162cd3b0b",
 }
 
-GRID_CONFIGS = [(u, f, c) for u in (None, "execute", "mem", "commit")
-                for f in (False, True) for c in (False, True)]
+GRID_CONFIGS = [(u, f) for u in (None, "execute", "mem", "commit")
+                for f in (False, True)]
 
 
 class TestEventStreamLock:
