@@ -13,12 +13,14 @@ loop is *slower* in either configuration it serves:
   predictor, where the compiled fold checks are on the hot path.
 
 It also checks the front half of an ASBR run: the compiled profiling
-pass must reproduce the per-instruction reference profiler, plan-loop
-trace and bimodal-2048 replay (the oracle of
-``tests/test_profile_pass.py``) on every workload, and the compiled
-front half (one pass plus the replay) must run at least
-:data:`MIN_PROFILE_SPEEDUP` times faster than the reference's (profile,
-trace, replay) on ADPCM.
+pass must reproduce the per-instruction reference profiler and
+plan-loop trace (the oracle of ``tests/test_profile_pass.py``), and the
+direction-only bimodal replay the per-record ``predict``/``update``
+replay (the oracle of ``tests/test_baseline_replay.py``), on every
+workload; and the compiled front half (one pass plus the fast
+bimodal-2048 replay) must run at least :data:`MIN_PROFILE_SPEEDUP`
+times faster than the reference's (profile, trace, per-record replay)
+on ADPCM.
 
 Last, the DSE: a ``GridSearch`` over the ``paper`` space, whose
 points run untraced and read fold coverage off their stats, must
@@ -47,16 +49,20 @@ from repro.asbr import ASBRUnit
 from repro.dse import Evaluator, GridSearch, paper_space
 from repro.predictors import evaluate_on_trace, make_predictor
 from repro.profiling import BranchProfiler, select_branches
-from repro.sim.functional import FunctionalSimulator
+from repro.sim.functional import FunctionalSimulator, collect_branch_trace
 from repro.sim.ooo import OoOConfig, OoOSimulator
 from repro.sim.pipeline import PipelineSimulator
 from repro.workloads import get_workload
 from repro.workloads.inputs import speech_like
 
-# the reference profiler and the traced DSE path live with the tests
-# that lock the fast paths to them
+# the reference profiler, the per-record replay and the traced DSE
+# path live with the tests that lock the fast paths to them
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))))
+from tests.test_baseline_replay import (  # noqa: E402
+    assert_replays_equal,
+    reference_replay,
+)
 from tests.test_dse_engine import traced_objectives  # noqa: E402
 from tests.test_profile_pass import (  # noqa: E402
     assert_equivalent,
@@ -69,8 +75,9 @@ EQUIV_SAMPLES = 96
 RACE_SAMPLES = 8000
 PROFILE_RACE_SAMPLES = 2000
 REPS = 3
-#: compiled front half vs the reference's, on ADPCM (6.3x and 9.4x in
-#: two runs on a 2-vCPU host)
+#: compiled front half vs the reference's, on ADPCM (12.5x-14.0x in
+#: four runs on a 2-vCPU host; 8.6x there while both arms replayed the
+#: baseline per record)
 MIN_PROFILE_SPEEDUP = 4.0
 DSE_SAMPLES = 150
 #: untraced paper-space grid vs the traced path, inline on ADPCM
@@ -188,8 +195,11 @@ def check_profile_equivalence() -> None:
         wl = get_workload(name)
         stream = wl.input_stream(speech_like(EQUIV_SAMPLES, seed=11))
         assert_equivalent(wl.program, lambda: wl.build_memory(stream))
+        assert_replays_equal(collect_branch_trace(
+            wl.program, wl.build_memory(stream)))
     print("profile equivalence: OK (%d workloads, %d samples: profile, "
-          "trace and bimodal-2048 replay)"
+          "trace, and the bimodal replay at 2048/512/16 counters with "
+          "and without skipped branches)"
           % (len(WORKLOAD_NAMES), EQUIV_SAMPLES))
 
 
@@ -201,7 +211,7 @@ def race_profile() -> int:
     def reference(memory, memory2):
         reference_profile(wl.program, memory)
         trace = reference_trace(wl.program, memory2)
-        evaluate_on_trace(make_predictor("bimodal-2048"), trace)
+        reference_replay(make_predictor("bimodal-2048"), trace)
 
     def compiled(memory, _memory2):
         profile = BranchProfiler().profile(wl.program, memory)

@@ -66,6 +66,12 @@ class Assembler:
 
     def __init__(self, text_base: int = TEXT_BASE,
                  data_base: int = DATA_BASE) -> None:
+        # every memory image starts as a plain copy of Program.data
+        # (MainMemory), so its keys must be word-aligned 32-bit
+        # addresses by construction
+        if data_base & 3 or not 0 <= data_base <= 0xFFFFFFFF:
+            raise AssemblerError("data_base 0x%x is not a word-aligned "
+                                 "32-bit address" % data_base)
         self.text_base = text_base
         self.data_base = data_base
 
@@ -332,6 +338,8 @@ class Assembler:
             data_bytes[off:off + 4] = (addr & 0xFFFFFFFF).to_bytes(4, "little")
         while len(data_bytes) % 4:
             data_bytes += b"\x00"
+        if self.data_base + len(data_bytes) > 1 << 32:
+            raise AssemblerError("data segment runs past 0xffffffff")
         for i in range(0, len(data_bytes), 4):
             word = int.from_bytes(data_bytes[i:i + 4], "little")
             prog.data[self.data_base + i] = word

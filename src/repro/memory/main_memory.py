@@ -9,7 +9,7 @@ Byte order is little-endian.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.isa.alu import MASK32
 
@@ -19,12 +19,19 @@ class MisalignedAccess(ValueError):
 
 
 class MainMemory:
-    """Sparse 32-bit word-addressable memory."""
+    """Sparse 32-bit word-addressable memory.
+
+    ``words`` seeds the image with a copy of a ``word_addr -> value``
+    map taken at C level, without per-word checks: every key must be a
+    word-aligned 32-bit address and every value a 32-bit word.  A
+    program's data segment is one (the assembler packs it so), and
+    every simulator image starts as ``MainMemory(program.data)``.
+    """
 
     __slots__ = ("_words",)
 
-    def __init__(self) -> None:
-        self._words: Dict[int, int] = {}
+    def __init__(self, words: Optional[Mapping[int, int]] = None) -> None:
+        self._words: Dict[int, int] = {} if words is None else dict(words)
 
     # ------------------------------------------------------------------
     # word access (hot path)
@@ -99,9 +106,7 @@ class MainMemory:
 
     def copy(self) -> "MainMemory":
         """Deep copy (each simulator run gets its own memory)."""
-        mem = MainMemory()
-        mem._words = dict(self._words)
-        return mem
+        return MainMemory(self._words)
 
     def __len__(self) -> int:
         return len(self._words)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.predictors.base import BranchPredictor
-from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.bimodal import WEAK_TAKEN, BimodalPredictor
 from repro.predictors.combining import CombiningPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.local import LocalHistoryPredictor
@@ -57,7 +57,14 @@ def evaluate_on_trace(predictor: BranchPredictor,
     With ``direction_only`` (the default, matching the paper's accuracy
     columns) a prediction is correct when the direction matches; with it
     off, a taken prediction additionally needs the right BTB target.
+
+    A direction-only replay through an exact :class:`BimodalPredictor`
+    (the selection baseline) steps only its 2-bit counters: the result
+    and the final counter table are the per-record loop's, and the BTB,
+    which direction-only scoring never reads, is left untouched.
     """
+    if direction_only and type(predictor) is BimodalPredictor:
+        return _bimodal_directions(predictor, trace, skip_pcs)
     acc = PredictorAccuracy(predictor.name)
     per_total = acc.per_pc_total
     per_correct = acc.per_pc_correct
@@ -77,6 +84,41 @@ def evaluate_on_trace(predictor: BranchPredictor,
         if ok:
             acc.correct += 1
             per_correct[pc] = per_correct.get(pc, 0) + 1
+    return acc
+
+
+def _bimodal_directions(predictor: BimodalPredictor,
+                        trace: Iterable[BranchRecord],
+                        skip_pcs: Optional[set]) -> PredictorAccuracy:
+    """:func:`evaluate_on_trace`'s direction-only bimodal replay: the
+    counter at ``(pc >> 2) & mask`` predicts taken from 2 up, then
+    saturates towards the outcome, as ``predict``/``update`` do."""
+    acc = PredictorAccuracy(predictor.name)
+    per_total = acc.per_pc_total
+    per_correct = acc.per_pc_correct
+    counters = predictor._counters
+    mask = predictor._mask
+    skip = skip_pcs or ()
+    total = correct = 0
+    for rec in trace:
+        pc = rec.pc
+        if pc in skip:
+            continue
+        i = (pc >> 2) & mask
+        c = counters[i]
+        taken = rec.taken
+        total += 1
+        per_total[pc] = per_total.get(pc, 0) + 1
+        if (c >= WEAK_TAKEN) == taken:
+            correct += 1
+            per_correct[pc] = per_correct.get(pc, 0) + 1
+        if taken:
+            if c < 3:
+                counters[i] = c + 1
+        elif c > 0:
+            counters[i] = c - 1
+    acc.total = total
+    acc.correct = correct
     return acc
 
 

@@ -87,7 +87,11 @@ def _stats_from_entry(entry: dict):
 def _stats_kind(stats) -> str:
     return "ooo" if isinstance(stats, OoOStats) else "pipeline"
 
+#: program digests per benchmark and input digests per ``(n_samples,
+#: seed)``; cleared when full, as the decode memo is, so a daemon fed
+#: fresh seeds holds at most the cap
 _digest_memo: Dict[tuple, str] = {}
+_DIGEST_MEMO_CAP = 256
 
 _SIZE_SUFFIX = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
@@ -175,6 +179,22 @@ def config_digest(spec: RunSpec) -> str:
                 *[str(getattr(spec, name)) for name in _CONFIG_FIELDS])
 
 
+def _memo_digest(key: tuple) -> str:
+    """The digest of ``("prog", benchmark)`` or ``("input", n_samples,
+    seed)``, through :data:`_digest_memo`."""
+    digest = _digest_memo.get(key)
+    if digest is None:
+        from repro.workloads import get_workload, speech_like
+        if key[0] == "prog":
+            digest = program_digest(get_workload(key[1]).program)
+        else:
+            digest = input_digest(speech_like(key[1], key[2]))
+        if len(_digest_memo) >= _DIGEST_MEMO_CAP:
+            _digest_memo.clear()
+        _digest_memo[key] = digest
+    return digest
+
+
 def key_for_spec(spec: RunSpec) -> str:
     """Full cache key of a spec, resolving its workload and input.
 
@@ -182,17 +202,9 @@ def key_for_spec(spec: RunSpec) -> str:
     ``(n_samples, seed)`` — a sweep over many predictor configs hashes
     each program and input once.
     """
-    pk = ("prog", spec.benchmark)
-    if pk not in _digest_memo:
-        from repro.workloads import get_workload
-        _digest_memo[pk] = program_digest(get_workload(spec.benchmark)
-                                          .program)
-    ik = ("input", spec.n_samples, spec.seed)
-    if ik not in _digest_memo:
-        from repro.workloads import speech_like
-        _digest_memo[ik] = input_digest(speech_like(spec.n_samples,
-                                                    spec.seed))
-    return _sha(_digest_memo[pk], _digest_memo[ik], config_digest(spec))
+    return _sha(_memo_digest(("prog", spec.benchmark)),
+                _memo_digest(("input", spec.n_samples, spec.seed)),
+                config_digest(spec))
 
 
 @dataclasses.dataclass

@@ -412,9 +412,7 @@ def init_core_state(sim, program: Program, memory, predictor, asbr,
     if memory is None:
         # data-segment initialisation is the caller's job when a
         # pre-built memory is supplied (see FunctionalSimulator)
-        memory = MainMemory()
-        for addr, word in program.data.items():
-            memory.write_word(addr, word)
+        memory = MainMemory(program.data)
     sim.memory = memory
     for i, word in enumerate(program.words):
         sim.memory.write_word(program.pc_of(i), word)

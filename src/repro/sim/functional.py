@@ -110,20 +110,20 @@ class FunctionalSimulator:
     memory:
         Optional pre-built memory (e.g. with workload input arrays
         already written).  When supplied, the caller owns data-segment
-        initialisation — typically by starting from ``program.data``
-        and overlaying inputs, as :mod:`repro.workloads.loader` does.
-        When omitted, a fresh memory is created and the program's data
-        segment is loaded into it.  A private copy is NOT taken; pass
-        ``memory.copy()`` if the caller wants to keep the original.
+        initialisation — typically ``MainMemory(program.data)`` with
+        the inputs written over it, as :mod:`repro.workloads.loader`
+        does.  When omitted, the image is ``MainMemory(program.data)``:
+        one C-level copy of the data segment, which the program's own
+        dict never sees a write through.  Either way the text image is
+        then written into it.  A supplied memory is used as is, not
+        copied; pass ``memory.copy()`` to keep the original.
     """
 
     def __init__(self, program: Program,
                  memory: Optional[MainMemory] = None) -> None:
         self.program = program
         if memory is None:
-            memory = MainMemory()
-            for addr, word in program.data.items():
-                memory.write_word(addr, word)
+            memory = MainMemory(program.data)
         self.memory = memory
         for i, word in enumerate(program.words):
             self.memory.write_word(program.pc_of(i), word)

@@ -13,15 +13,37 @@ exactly reproducible.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+#: :func:`speech_like` waveforms per ``(n, seed, amplitude)``, oldest
+#: first.  A spec's cache key and its run each ask for the input, and a
+#: sweep asks once per design point; the cap keeps a process that walks
+#: many seeds from holding more than a few inputs.
+_SPEECH_MEMO: Dict[tuple, Tuple[int, ...]] = {}
+_SPEECH_MEMO_CAP = 4
+
 
 def speech_like(n: int, seed: int = 1234, amplitude: int = 8000) -> List[int]:
-    """``n`` int16 samples of a speech-like synthetic waveform."""
+    """``n`` int16 samples of a speech-like synthetic waveform.
+
+    Each waveform is generated once per process (:data:`_SPEECH_MEMO`);
+    each call returns a fresh list, which the caller may change.
+    """
     if n <= 0:
         raise ValueError("n must be positive")
+    key = (n, seed, amplitude)
+    wave = _SPEECH_MEMO.get(key)
+    if wave is None:
+        wave = _speech_like(n, seed, amplitude)
+        if len(_SPEECH_MEMO) >= _SPEECH_MEMO_CAP:
+            del _SPEECH_MEMO[next(iter(_SPEECH_MEMO))]
+        _SPEECH_MEMO[key] = wave
+    return list(wave)
+
+
+def _speech_like(n: int, seed: int, amplitude: int) -> Tuple[int, ...]:
     rng = np.random.default_rng(seed)
     t = np.arange(n, dtype=np.float64)
     # three gliding "formants"
@@ -35,8 +57,8 @@ def speech_like(n: int, seed: int = 1234, amplitude: int = 8000) -> List[int]:
     env = 0.35 + 0.65 * (0.5 + 0.5 * np.sin(2 * np.pi * t / 1900.0))
     sig = sig * env + 0.05 * rng.standard_normal(n)
     sig = sig / np.max(np.abs(sig))
-    return [int(v) for v in np.clip(sig * amplitude, -32768, 32767)
-            .astype(np.int64)]
+    return tuple(np.clip(sig * amplitude, -32768, 32767)
+                 .astype(np.int64).tolist())
 
 
 def step_pattern(n: int, seed: int = 99, amplitude: int = 12000,

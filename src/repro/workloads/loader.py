@@ -96,8 +96,7 @@ class Workload:
             raise ValueError("%d elements exceed buffer capacity %d"
                              % (len(stream), MAX_SAMPLES))
         prog = self.program
-        mem = MainMemory()
-        mem.load_words(prog.data.items())     # static tables first
+        mem = MainMemory(prog.data)           # static tables first
         n = count if count is not None else len(stream)
         mem.write_word(prog.address_of("n_samples"), n)
         base = prog.address_of(self.input_label)

@@ -4,14 +4,15 @@
 profiling mode of the block translator; :class:`BranchProfiler` reduces
 its tallies.  The oracle here is the profiler it replaced — one
 ``FunctionalSimulator.execute`` per instruction, tracking every
-register's last producer — plus the per-instruction plan-loop trace.
-Profile (field by field, in branch order), trace and the bimodal-2048
-selection baseline must all be identical: on every workload at several
-input sizes and seeds, on huffman_dec with and without an explicit
-symbol count, on the random-program corpus, and at the dispatcher's
-edges (an indirect jump that lands off a leader, budget exhaustion, a
-trap in the middle of a block).  A fast subset runs in tier-1; the full
-sweep is ``-m slow``.
+register's last producer — plus the per-instruction plan-loop trace
+and the per-record predictor replay of
+``tests/test_baseline_replay.py``.  Profile (field by field, in branch
+order), trace and the bimodal-2048 selection baseline must all be
+identical: on every workload at several input sizes and seeds, on
+huffman_dec with and without an explicit symbol count, on the
+random-program corpus, and at the dispatcher's edges (an indirect jump
+that lands off a leader, budget exhaustion, a trap in the middle of a
+block).  A fast subset runs in tier-1; the full sweep is ``-m slow``.
 """
 
 import dataclasses
@@ -36,6 +37,7 @@ from repro.sim.functional import (
 from repro.testing import random_program
 from repro.workloads import get_workload, speech_like
 from repro.workloads.loader import WORKLOAD_NAMES
+from tests.test_baseline_replay import reference_replay
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +142,7 @@ def assert_equivalent(program, make_memory=lambda: None) -> BranchProfile:
     assert _fields(got) == _fields(ref)
     assert got.trace == ref_trace
     assert collect_branch_trace(program, make_memory()) == ref_trace
-    ref_acc = evaluate_on_trace(make_predictor("bimodal-2048"), ref_trace)
+    ref_acc = reference_replay(make_predictor("bimodal-2048"), ref_trace)
     got_acc = evaluate_on_trace(make_predictor("bimodal-2048"), got.trace)
     assert dataclasses.asdict(got_acc) == dataclasses.asdict(ref_acc)
     return got

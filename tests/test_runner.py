@@ -108,6 +108,22 @@ def test_cache_key_locked(spec, key, monkeypatch):
     assert current != key
 
 
+def test_digest_memo_is_bounded(monkeypatch):
+    """A process fed fresh seeds keeps at most the cap of input
+    digests, and the keys do not change when the memo is cleared."""
+    memo = {}
+    monkeypatch.setattr(repro.runner.cache, "_digest_memo", memo)
+    cap = repro.runner.cache._DIGEST_MEMO_CAP
+    first = key_for_spec(RunSpec("adpcm_enc", 4, 0, "not-taken"))
+    for seed in range(cap + 1):
+        key_for_spec(RunSpec("adpcm_enc", 4, seed, "not-taken"))
+    assert sum(k[0] == "input" for k in memo) <= cap
+    assert key_for_spec(RunSpec("adpcm_enc", 4, 0, "not-taken")) == first
+    spec, key = LOCKED_KEYS[0]
+    monkeypatch.setattr(repro.runner.cache, "CACHE_VERSION", 7)
+    assert key_for_spec(spec) == key
+
+
 # ----------------------------------------------------------------------
 # cache hit / miss / recovery
 # ----------------------------------------------------------------------
