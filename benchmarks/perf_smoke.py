@@ -12,6 +12,11 @@ loop is *slower* in either configuration it serves:
 * ASBR — threshold-2 folding with the ``bimodal-512-512`` auxiliary
   predictor, where the compiled fold checks are on the hot path.
 
+ASBR itself must cost no simulation time: on each codec the compiled
+ASBR run (threshold 2) races the compiled plain run, ``bimodal-512-512``
+in both arms, and the geometric mean of their wall-time ratios must not
+exceed :data:`MAX_ASBR_RATIO`.
+
 It also checks the front half of an ASBR run: the compiled profiling
 pass must reproduce the per-instruction reference profiler and
 plan-loop trace (the oracle of ``tests/test_profile_pass.py``), and the
@@ -41,6 +46,7 @@ clock assertions do not belong in the correctness suite.
 """
 
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -79,6 +85,14 @@ REPS = 3
 #: four runs on a 2-vCPU host; 8.6x there while both arms replayed the
 #: baseline per record)
 MIN_PROFILE_SPEEDUP = 4.0
+#: codec -> stimulus length of the ASBR-vs-plain race (the e2e
+#: benchmark's spec_asbr sizes)
+ASBR_RACE_SIZES = {"adpcm_enc": 400, "adpcm_dec": 400, "huffman_dec": 400,
+                   "g721_enc": 60, "g721_dec": 60}
+#: compiled ASBR run over compiled plain run, geometric mean over the
+#: codecs (1.20 on a 2-vCPU host while the loop kept a shadow BDT that
+#: every producer updated, 0.96 reading it off the latches)
+MAX_ASBR_RATIO = 1.10
 DSE_SAMPLES = 150
 #: untraced paper-space grid vs the traced path, inline on ADPCM
 #: (3.6x-4.2x in four runs on a 2-vCPU host)
@@ -188,6 +202,45 @@ def race(with_asbr: bool) -> int:
     return 0
 
 
+def race_asbr_vs_plain() -> int:
+    """Best-of-REPS seconds of each codec's compiled ASBR run over its
+    compiled plain run; fails on their geometric mean."""
+    ratios = []
+    for name, n in ASBR_RACE_SIZES.items():
+        wl = get_workload(name)
+        stream = wl.input_stream(speech_like(n, seed=42))
+        profile = BranchProfiler().profile(wl.program,
+                                           wl.build_memory(stream))
+        infos = select_branches(profile, bit_capacity=16,
+                                bdt_update="execute").infos
+
+        def seconds(with_asbr):
+            asbr = (ASBRUnit.from_branch_infos(infos, capacity=16,
+                                               bdt_update="execute")
+                    if with_asbr else None)
+            sim = PipelineSimulator(wl.program, wl.build_memory(stream),
+                                    predictor=make_predictor(
+                                        "bimodal-512-512"),
+                                    asbr=asbr)
+            t0 = time.perf_counter()
+            sim.run()
+            return time.perf_counter() - t0
+
+        plain, asbr = map(min, alternate(lambda: seconds(False),
+                                         lambda: seconds(True)))
+        ratios.append(asbr / plain)
+        print("race (asbr vs plain, %s): plain %.1f ms, asbr %.1f ms "
+              "(%.2fx)" % (name, plain * 1e3, asbr * 1e3, asbr / plain))
+    gmean = math.exp(sum(map(math.log, ratios)) / len(ratios))
+    print("race (asbr vs plain): geometric mean %.2fx" % gmean)
+    if gmean > MAX_ASBR_RATIO:
+        print("FAIL: compiled ASBR runs take %.2fx the plain runs' time "
+              "(more than %.2fx)" % (gmean, MAX_ASBR_RATIO),
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def check_profile_equivalence() -> None:
     from repro.workloads.loader import WORKLOAD_NAMES
 
@@ -268,7 +321,7 @@ def main() -> int:
     check_equivalence()
     check_profile_equivalence()
     return (race(with_asbr=False) or race(with_asbr=True)
-            or race_profile() or race_dse())
+            or race_asbr_vs_plain() or race_profile() or race_dse())
 
 
 if __name__ == "__main__":

@@ -200,13 +200,17 @@ class PipelineSimulator:
         something observes or replaces per-cycle work, which the
         compiled loop has no hook for: a tracer, a decoupled front end,
         a subclass or a ``tick`` wrapped on the instance (fault
-        injection).  Those runs take :meth:`run_reference`.  Both loops
-        give bit-identical statistics and architectural state.
+        injection).  The compiled loop reads the BDT off the latches,
+        so it also needs a BDT that agrees with them
+        (:func:`~repro.sim.superblocks.bdt_agrees`: a reused unit, a
+        hand-edited BDT or a resumed trap may not).  Other runs take
+        :meth:`run_reference`.  Both loops give bit-identical
+        statistics, BDT and architectural state.
         """
+        from repro.sim.superblocks import bdt_agrees, run_pipeline_superblocks
         if (self.trace is None and self.frontend is None
                 and type(self) is PipelineSimulator
-                and "tick" not in self.__dict__):
-            from repro.sim.superblocks import run_pipeline_superblocks
+                and "tick" not in self.__dict__ and bdt_agrees(self)):
             try:
                 return run_pipeline_superblocks(self)
             finally:

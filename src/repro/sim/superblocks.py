@@ -28,19 +28,20 @@ semantics *provably* identical (see DESIGN.md, "Compiled fold checks"):
 direct-threaded record ``pc -> (cond_reg, dirs, taken-chain,
 fall-chain)`` where both chains carry the pre-decoded replacement
 instruction (``_foreign_decode``'d once) and its successor fetch PC.
-The BDT is shadowed by two flat lists — per-register validity counter
-and *sign class* (0 = zero, 1 = positive, 2 = negative).  The six
-direction bits of a :class:`~repro.asbr.bdt.BDTEntry` are a pure
-function of the sign class of the last released value, so the compiled
-check ``dirs[cls]`` is bit-identical to ``bdt.lookup(reg, cond)`` and a
-release collapses from six enum-dict stores to one list store.  The
-threshold-2/3/4 update points (``execute``/``mem``/``commit``) keep the
-exact deferred-release discipline of the interpreted loop: releases are
-queued during stage advance and drained at end of cycle, *after* the
-fetch-stage fold check, preserving the paper's validity-counter timing.
-Committed ``ctlw`` bank switches fall back to the real
-:meth:`~repro.asbr.bit.BankedBIT.select_bank` (validation + switch
-counting) and swap in the per-bank compiled map.
+The loop keeps no BDT: in this in-order core the latches already hold
+each validity counter (the acquired, unreleased producers of a
+register) and the six direction bits (a pure function of the *sign
+class*, 0 = zero, 1 = positive, 2 = negative, of the youngest released
+value).  A fold check, run only on a BIT hit, is busy while ID, EX or
+MEM holds such a producer of its predicate register, or, under
+``commit``, WB committed one this cycle; otherwise ``dirs[cls]`` of
+MEM's released result or of the register file equals
+``bdt.lookup(reg, cond)``.  No producer pays an acquire, a release or a
+cancel.  On exit the same rule writes back the BDT and each latch's
+``acquired_reg``, and ``run()`` takes the loop only while the BDT
+agrees with the latches (:func:`bdt_agrees`).  Committed ``ctlw`` bank
+switches fall back to the real :meth:`~repro.asbr.bit.BankedBIT.select_bank`
+(validation + switch counting) and swap in the per-bank compiled map.
 
 **Local-variable latches.**  The five pipeline slots are exploded into
 per-stage local variables; a stage advance is a handful of local moves
@@ -55,12 +56,14 @@ overwhelmingly common case for sequential fetch).  Store hits still
 write the dirty bit; miss/eviction/writeback behavior is untouched.
 
 Fallback surface: an attached tracer, fault-injection ``tick``
-rebinding, a decoupled frontend or subclassing all make
-``PipelineSimulator.run`` take the reference ``tick()`` loop
-(``PipelineSimulator.run_reference``) instead: observers need
-per-cycle visibility into the real object graph.  The golden-stats
-locks, the differential sweep and ``benchmarks/perf_smoke.py`` pin
-bit-identity of the full ``PipelineStats`` against the reference loop.
+rebinding, a decoupled frontend, subclassing or a BDT that disagrees
+with the latches make ``PipelineSimulator.run`` take the reference
+``tick()`` loop (``run_reference``): observers need per-cycle
+visibility into the real object graph, and the latches cannot give
+back a BDT they do not determine.  The golden-stats locks, the
+differential sweep, ``tests/test_compiled_bdt.py`` and
+``benchmarks/perf_smoke.py`` pin bit-identity of the full
+``PipelineStats`` and the BDT against it.
 """
 
 from __future__ import annotations
@@ -83,11 +86,62 @@ _DIRS_BY_COND: Dict[Condition, Tuple[bool, bool, bool]] = {
 }
 
 
-def _class_of_bits(bits: Dict[Condition, bool]) -> int:
-    """Recover the sign class encoded by a consistent direction-bit set."""
-    if bits[Condition.EQZ]:
-        return 0
-    return 2 if bits[Condition.LTZ] else 1
+#: the six direction bits ``BDTEntry.update_bits`` writes, per sign class
+_BITS_BY_CLASS = tuple({c: dirs[k] for c, dirs in _DIRS_BY_COND.items()}
+                       for k in range(3))
+
+
+def _bits_of(value: int) -> Dict[Condition, bool]:
+    v = value & 4294967295
+    return _BITS_BY_CLASS[0 if v == 0 else (2 if v >= 2147483648 else 1)]
+
+
+def _latch_bdt(sim):
+    """The BDT ``tick()`` holds at a cycle boundary, read off the
+    latches and registers: each entry's counter, the value whose sign
+    class gives its bits, and ``(slot, acquired_reg)`` per latch.
+
+    A producer acquires at its ID work and releases as it leaves EX
+    (``execute``, non-loads), MEM (``mem``; ``execute`` loads) or WB
+    (``commit``).  Releases run in program order, so the youngest
+    released producer still in flight, else the register file, gives
+    the bits."""
+    counters = [0] * len(sim._reglist)
+    values = list(sim._reglist)
+    held = []
+    # oldest first, so a younger released value overwrites an older one
+    for s, stage in ((sim.s_wb, 4), (sim.s_mem, 3), (sim.s_ex, 2),
+                     (sim.s_id, 1), (sim.s_if, 0)):
+        if s is not None:
+            acquired = (sim._bdt_commit if stage == 4
+                        else not sim._rel_ex or s.d.is_load if stage == 3
+                        else stage == 2 or (stage == 1 and s.id_done))
+            r = s.d.dest or None        # r0 is never acquired
+            if r is not None and acquired:
+                counters[r] += 1
+            elif r is not None and stage >= 3:  # released, in flight
+                values[r] = s.result
+            held.append((s, r if acquired else None))
+    return counters, values, held
+
+
+def bdt_agrees(sim) -> bool:
+    """Whether ``run()`` may take the compiled loop, which reads the BDT
+    off the latches: the BDT and every ``acquired_reg`` equal
+    :func:`_latch_bdt`, no release is pending, and a counter can count
+    the four producers of one register ID, EX, MEM and WB may hold
+    (``tick()`` raises on a narrower one)."""
+    asbr = sim.asbr
+    if asbr is None:
+        return True
+    entries = asbr.bdt.entries
+    if (sim._pending_releases or asbr.bdt.counter_max < 4
+            or len(entries) != len(sim._reglist)):
+        return False
+    counters, values, held = _latch_bdt(sim)
+    return (all(e.counter == c and e.bits == _bits_of(v)
+                for e, c, v in zip(entries, counters, values))
+            and all(s.acquired_reg == r for s, r in held))
 
 
 def compile_fold_map(sim, asbr, bank_index: int) -> dict:
@@ -103,10 +157,15 @@ def compile_fold_map(sim, asbr, bank_index: int) -> dict:
     """
     fm = {}
     for entry in asbr.bit.banks[bank_index]:
+        reg = entry.cond_reg
         dirs = _DIRS_BY_COND[entry.condition]
+        if not reg:
+            # r0 is never acquired and reads 0: a constant direction,
+            # checked against a register number no latch can hold
+            reg, dirs = -3, (dirs[0],) * 3
         taken_d = sim._foreign_decode(entry.bti, entry.bta)
         fall_d = sim._foreign_decode(entry.bfi, entry.pc + 4)
-        fm[entry.pc] = (entry.cond_reg, dirs,
+        fm[entry.pc] = (reg, dirs,
                         taken_d, entry.bta, entry.bta + 4,
                         fall_d, entry.pc + 4, entry.pc + 8)
     return fm
@@ -114,13 +173,14 @@ def compile_fold_map(sim, asbr, bank_index: int) -> dict:
 
 def run_pipeline_superblocks(sim):
     """Monolithic fast twin of ``PipelineSimulator.run`` with ASBR
-    folding, BDT updates and predictor decisions compiled in.
+    folding and predictor decisions compiled in.
 
     See the module docstring for what is specialized.  State (latches,
-    stats, cache counters) is written back in ``finally`` so budget
-    errors and post-run inspection see the simulator the interpreted
-    loop would leave behind.  Bit-identical timing and ASBR statistics
-    are locked by the golden suite.
+    BDT, stats, cache counters) is written back in ``finally`` so
+    budget errors, traps and post-run inspection see the simulator the
+    interpreted loop would leave behind; ``sim`` must satisfy
+    :func:`bdt_agrees`.  Bit-identical timing and ASBR statistics are
+    locked by the golden suite.
     """
     from repro.predictors.bimodal import BimodalPredictor
     from repro.predictors.simple import NotTakenPredictor
@@ -155,19 +215,15 @@ def run_pipeline_superblocks(sim):
     base = sim._text_base
     end = sim._text_end
     bdt_commit = sim._bdt_commit
-    rel_mem = sim._rel_mem
     rel_ex = sim._rel_ex
-    pending = sim._pending_releases     # list identity is stable
+    # under commit, the last producer WB committed: its cycle, register
+    # and the value it overwrote (its release ends that cycle)
+    c_cyc = -1
+    c_dest = c_old = 0
 
-    # ---- ASBR compiled state (shadow BDT + per-bank fold maps) -------
+    # ---- ASBR compiled state (per-bank fold maps) --------------------
     if asbr is not None:
         bit = asbr.bit
-        bdt = asbr.bdt
-        bdt_entries = bdt.entries
-        cmax = bdt.counter_max
-        bcnt = [e.counter for e in bdt_entries]
-        bcls = [_class_of_bits(e.bits) for e in bdt_entries]
-        btouched = [False] * len(bdt_entries)
         ctl_write = asbr.control_write
         fold_maps = {bit.active: compile_fold_map(sim, asbr, bit.active)}
         fold_map = fold_maps[bit.active]
@@ -178,14 +234,8 @@ def run_pipeline_superblocks(sim):
         per_pc = fstats.per_pc_folds
         asbr_on = True
     else:
-        bit = bdt = bdt_entries = None
-        cmax = 0
-        bcnt = bcls = btouched = None
-        ctl_write = None
-        fold_map = None
-        fstats = None
+        bit = ctl_write = fold_map = fstats = per_pc = None
         f_taken = f_nt = f_inv = 0
-        per_pc = None
         asbr_on = False
 
     # cache geometry/statistics, hoisted, plus per-set MRU tag memos
@@ -227,42 +277,38 @@ def run_pipeline_superblocks(sim):
     s = sim.s_id
     if s is not None:
         i_d, i_pc, i_fo, i_pr = s.d, s.pc, s.folded, s.pred_next_pc
-        i_acq = s.acquired_reg
         i_done = s.id_done
     else:
-        i_d = i_acq = None
+        i_d = None
         i_pc = i_pr = 0
         i_fo = i_done = False
     s = sim.s_ex
     if s is not None:
         e_d, e_pc, e_fo, e_pr = s.d, s.pc, s.folded, s.pred_next_pc
-        e_acq = s.acquired_reg
         e_done = s.ex_done
         e_res, e_addr, e_sv = s.result, s.mem_addr, s.store_val
     else:
-        e_d = e_acq = None
+        e_d = None
         e_pc = e_pr = e_res = e_addr = e_sv = 0
         e_fo = e_done = False
     s = sim.s_mem
     if s is not None:
         m_d, m_pc, m_fo = s.d, s.pc, s.folded
-        m_acq = s.acquired_reg
         m_done, m_wait = s.mem_done, s.mem_wait
         m_res, m_addr, m_sv = s.result, s.mem_addr, s.store_val
         dd = s.d.dest
         m_dest = dd if dd is not None else -1
     else:
-        m_d = m_acq = None
+        m_d = None
         m_pc = m_wait = m_res = m_addr = m_sv = 0
         m_fo = m_done = False
         m_dest = -1
     s = sim.s_wb
     if s is not None:
         w_d, w_pc, w_fo = s.d, s.pc, s.folded
-        w_acq = s.acquired_reg
         w_res = s.result
     else:
-        w_d = w_acq = None
+        w_d = None
         w_pc = w_res = 0
         w_fo = False
     s = None
@@ -291,6 +337,7 @@ def run_pipeline_superblocks(sim):
     try:
         while True:
             if cycles >= max_cycles:
+                c_cyc = -1                  # a stop between cycles
                 raise SimulationError(
                     "cycle budget (%d) exhausted; fetch_pc=0x%x"
                     % (max_cycles, fetch_pc))
@@ -302,16 +349,17 @@ def run_pipeline_superblocks(sim):
                 d = w_d
                 dest = d.dest
                 if dest is not None and dest != 0:
+                    if bdt_commit:
+                        c_cyc = cycles
+                        c_dest = dest
+                        c_old = regs[dest]
                     regs[dest] = w_res & 4294967295
-                    if w_acq is not None and bdt_commit:
-                        pending.append((dest, w_res))
                 if w_fo:
                     folds += 1
                 committed += 1
                 w_d = None
                 if d.is_halt:
-                    # nothing younger may have architectural effect —
-                    # and pending releases die with the wrong path
+                    # nothing younger may have architectural effect
                     halted = True
                     break
                 if d.is_ctl and asbr_on:
@@ -515,14 +563,6 @@ def run_pipeline_superblocks(sim):
                         # EX redirect: squash the two younger stages
                         if i_d is not None:
                             squashed += 1
-                            ar = i_acq
-                            if ar is not None:
-                                if bcnt[ar] <= 0:
-                                    raise RuntimeError(
-                                        "BDT cancel without acquire on r%d"
-                                        % ar)
-                                bcnt[ar] -= 1
-                                i_acq = None
                             i_d = None
                         if f_d is not None:
                             squashed += 1
@@ -564,14 +604,6 @@ def run_pipeline_superblocks(sim):
                         a = regs[rr]
                     if i_d is not None:
                         squashed += 1
-                        ar = i_acq
-                        if ar is not None:
-                            if bcnt[ar] <= 0:
-                                raise RuntimeError(
-                                    "BDT cancel without acquire on r%d"
-                                    % ar)
-                            bcnt[ar] -= 1
-                            i_acq = None
                         i_d = None
                     if f_d is not None:
                         squashed += 1
@@ -583,21 +615,10 @@ def run_pipeline_superblocks(sim):
                     jr_redirects += 1
                 # else k == 0: JUMP/HALT/CTL — nothing to compute
 
-            # ---- ID: first-cycle work (jump redirect, BDT acquire) -
+            # ---- ID: first-cycle work (jump redirect) --------------
             if i_d is not None and not i_done:
                 i_done = True
                 d = i_d
-                if asbr_on:
-                    dest = d.dest
-                    if dest is not None and dest != 0:
-                        c = bcnt[dest]
-                        if c >= cmax:
-                            raise OverflowError(
-                                "BDT validity counter overflow on r%d "
-                                "(more than %d in-flight producers)"
-                                % (dest, cmax))
-                        bcnt[dest] = c + 1
-                        i_acq = dest
                 if d.is_halt:
                     fetch_halted = True
                 elif d.is_jump:
@@ -640,16 +661,26 @@ def run_pipeline_superblocks(sim):
                     if d.is_branch:
                         t = fold_map.get(pc) if asbr_on else None
                         if t is not None:
-                            # compiled try_fold: BIT hit; check the
-                            # shadow validity counter, then thread to
-                            # the pre-decoded replacement chain
+                            # compiled try_fold: BIT hit; busy while an
+                            # unreleased producer of the predicate is in
+                            # flight, else the youngest released value
+                            # (MEM's or the register's) gives the bits
                             creg = t[0]
-                            if bcnt[creg]:
+                            if ((i_d is not None and i_d.dest == creg)
+                                    or (e_d is not None
+                                        and e_d.dest == creg)
+                                    or (m_dest == creg
+                                        and (m_d.is_load or not rel_ex))
+                                    or (c_cyc == cycles
+                                        and c_dest == creg)):
                                 f_inv += 1
                                 t = None
                             else:
+                                v = (m_res & 4294967295 if m_dest == creg
+                                     else regs[creg])
                                 per_pc[pc] = per_pc.get(pc, 0) + 1
-                                if t[1][bcls[creg]]:
+                                if t[1][0 if v == 0 else
+                                        (2 if v >= 2147483648 else 1)]:
                                     f_taken += 1
                                     f_d = t[2]
                                     f_pc = t[3]
@@ -695,15 +726,9 @@ def run_pipeline_superblocks(sim):
                 if m_wait > 0:
                     m_wait -= 1
                 else:
-                    ar = m_acq
-                    if ar is not None and (rel_mem
-                                           or (rel_ex and m_d.is_load)):
-                        pending.append((ar, m_res))
-                        m_acq = None
                     w_d = m_d
                     w_pc = m_pc
                     w_fo = m_fo
-                    w_acq = m_acq
                     w_res = m_res
                     m_d = None
                     m_dest = -1
@@ -712,14 +737,9 @@ def run_pipeline_superblocks(sim):
             # instruction that spent this cycle in EX, so keep its d)
             exd0 = e_d
             if e_d is not None and e_done and m_d is None:
-                ar = e_acq
-                if rel_ex and ar is not None and not e_d.is_load:
-                    pending.append((ar, e_res))
-                    ar = None
                 m_d = e_d
                 m_pc = e_pc
                 m_fo = e_fo
-                m_acq = ar
                 m_done = False
                 m_res = e_res
                 m_addr = e_addr
@@ -738,7 +758,6 @@ def run_pipeline_superblocks(sim):
                         e_pc = i_pc
                         e_fo = i_fo
                         e_pr = i_pr
-                        e_acq = i_acq
                         e_done = False
                         i_d = None
                 else:
@@ -746,7 +765,6 @@ def run_pipeline_superblocks(sim):
                     e_pc = i_pc
                     e_fo = i_fo
                     e_pr = i_pr
-                    e_acq = i_acq
                     e_done = False
                     i_d = None
 
@@ -759,24 +777,8 @@ def run_pipeline_superblocks(sim):
                     i_pc = f_pc
                     i_fo = f_fo
                     i_pr = f_pr
-                    i_acq = None
                     i_done = False
                     f_d = None
-
-            # ---- apply deferred BDT releases (compiled): decrement
-            # the shadow counter and store the released value's sign
-            # class — update_bits reduced to one list write ------------
-            if pending:
-                for reg, value in pending:
-                    if bcnt[reg] <= 0:
-                        raise RuntimeError(
-                            "BDT release without acquire on r%d" % reg)
-                    bcnt[reg] -= 1
-                    v = value & 4294967295
-                    bcls[reg] = (0 if v == 0
-                                 else (2 if v >= 2147483648 else 1))
-                    btouched[reg] = True
-                del pending[:]
     finally:
         stats.cycles = cycles
         stats.committed = committed
@@ -797,20 +799,7 @@ def run_pipeline_superblocks(sim):
         dc_stats.accesses = dc_acc
         dc_stats.misses = dc_miss
         dc_stats.writebacks = dc_wbk
-        # write the shadow BDT back into the real table: counters
-        # always, direction bits for every register that saw a release
         if asbr_on:
-            for r, e in enumerate(bdt_entries):
-                e.counter = bcnt[r]
-                if btouched[r]:
-                    c = bcls[r]
-                    b = e.bits
-                    b[Condition.EQZ] = c == 0
-                    b[Condition.NEZ] = c != 0
-                    b[Condition.LTZ] = c == 2
-                    b[Condition.LEZ] = c != 1
-                    b[Condition.GTZ] = c == 1
-                    b[Condition.GEZ] = c != 2
             fstats.folded_taken = f_taken
             fstats.folded_not_taken = f_nt
             fstats.invalid_fallbacks = f_inv
@@ -827,7 +816,6 @@ def run_pipeline_superblocks(sim):
             s = _Slot(i_d, i_pc)
             s.folded = i_fo
             s.pred_next_pc = i_pr
-            s.acquired_reg = i_acq
             s.id_done = i_done
             sim.s_id = s
         else:
@@ -836,7 +824,6 @@ def run_pipeline_superblocks(sim):
             s = _Slot(e_d, e_pc)
             s.folded = e_fo
             s.pred_next_pc = e_pr
-            s.acquired_reg = e_acq
             s.ex_done = e_done
             s.result = e_res
             s.mem_addr = e_addr
@@ -847,7 +834,6 @@ def run_pipeline_superblocks(sim):
         if m_d is not None:
             s = _Slot(m_d, m_pc)
             s.folded = m_fo
-            s.acquired_reg = m_acq
             s.mem_done = m_done
             s.mem_wait = m_wait
             s.result = m_res
@@ -859,7 +845,6 @@ def run_pipeline_superblocks(sim):
         if w_d is not None:
             s = _Slot(w_d, w_pc)
             s.folded = w_fo
-            s.acquired_reg = w_acq
             s.result = w_res
             sim.s_wb = s
         else:
@@ -870,4 +855,19 @@ def run_pipeline_superblocks(sim):
         sim._suppress_fetch = suppress
         if halted:
             sim.halted = True
+        if asbr_on:
+            # the BDT and each latch's acquired_reg, read off the latches
+            counters, values, held = _latch_bdt(sim)
+            for e, c, v in zip(asbr.bdt.entries, counters, values):
+                e.counter = c
+                e.bits.update(_bits_of(v))
+            for s, r in held:
+                s.acquired_reg = r
+            if c_cyc == cycles:
+                # trapped mid-cycle after WB committed a producer: like
+                # tick(), it stays acquired with its release pending
+                e = asbr.bdt.entries[c_dest]
+                e.counter += 1
+                e.bits.update(_bits_of(c_old))
+                sim._pending_releases.append((c_dest, w_res))
     return stats

@@ -8,6 +8,8 @@ forwarding) or 2 (post-EX forwarding).  In the pipeline this rule is
 produce exactly this behaviour.  These tests pin it down cycle-exactly.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.asbr import ASBRUnit, extract_branch_info
@@ -160,8 +162,14 @@ t:
 
 class TestWrongPathInteraction:
     def test_squashed_producer_cancels_cleanly(self):
-        """A wrong-path producer of the predicate register must not
-        corrupt the BDT (validity-counter cancel path)."""
+        """A wrong-path producer of the predicate register leaves the
+        BDT clean.  The taken ``bnez r8`` resolves in EX while the
+        wrong-path ``addiu r9`` sits in its first ID cycle, and EX work
+        runs before ID work, so the producer is squashed before it
+        acquires: the validity-counter cancel path
+        (``ASBRUnit.producer_squashed``) is never called.  The compiled
+        loop, which reads the BDT off the latches, ends in the
+        reference loop's state."""
         prog = assemble("""
 .text
 main:
@@ -183,21 +191,39 @@ t:
     halt
 """)
         info = extract_branch_info(prog, prog.labels["br"])
-        unit = ASBRUnit.from_branch_infos([info], bdt_update="execute")
-        sim = PipelineSimulator(prog, predictor=NotTakenPredictor(),
-                                asbr=unit, config=perfect_caches())
+
+        def build():
+            unit = ASBRUnit.from_branch_infos([info], bdt_update="execute")
+            return PipelineSimulator(prog, predictor=NotTakenPredictor(),
+                                     asbr=unit, config=perfect_caches())
+
+        sim = build()
+        unit = sim.asbr
         stats = sim.run()
         assert sim.regs[9] == 1       # wrong-path write never committed
         assert sim.regs[2] == 0
         assert sim.regs[3] == 1
         assert stats.folds_committed + unit.stats.invalid_fallbacks >= 1
+        assert unit.bdt.entries[9].counter == 0
+
+        ref = build()
+        cancels = []
+        cancel = ref.asbr.producer_squashed
+        ref.asbr.producer_squashed = \
+            lambda reg: (cancels.append(reg), cancel(reg))
+        ref_stats = ref.run_reference()
+        assert cancels == []
+        assert dataclasses.asdict(stats) == dataclasses.asdict(ref_stats)
+        assert dataclasses.asdict(unit.stats) == \
+            dataclasses.asdict(ref.asbr.stats)
+        assert sim.regs.snapshot() == ref.regs.snapshot()
+        assert ([(e.counter, e.bits) for e in unit.bdt.entries]
+                == [(e.counter, e.bits) for e in ref.asbr.bdt.entries])
 
 
-class TestBankSwitching:
-    def test_ctlw_switches_banks_end_to_end(self):
-        """Two loops, each covered by its own BIT bank, switched by
-        committed ctlw writes (paper Section 7)."""
-        prog = assemble("""
+#: two loops, each covered by its own BIT bank, switched by committed
+#: ``ctlw`` writes (paper Section 7); see :func:`banked_unit`
+BANKED_LOOPS = """
 .text
 main:
     ctlw 0
@@ -233,12 +259,25 @@ l2t:
     addu r7, r7, r5
     bnez r5, loop2
     halt
-""")
-        from repro.asbr.bit import BankedBIT
-        bank = BankedBIT(num_banks=2, capacity=4)
-        bank.load_bank(0, [extract_branch_info(prog, prog.labels["br1"])])
-        bank.load_bank(1, [extract_branch_info(prog, prog.labels["br2"])])
-        unit = ASBRUnit(bank, bdt_update="execute")
+"""
+
+
+def banked_unit(prog, update="execute"):
+    """A two-bank unit for :data:`BANKED_LOOPS`: bank 0 holds ``br1``,
+    bank 1 ``br2``."""
+    from repro.asbr.bit import BankedBIT
+    bank = BankedBIT(num_banks=2, capacity=4)
+    bank.load_bank(0, [extract_branch_info(prog, prog.labels["br1"])])
+    bank.load_bank(1, [extract_branch_info(prog, prog.labels["br2"])])
+    return ASBRUnit(bank, bdt_update=update)
+
+
+class TestBankSwitching:
+    def test_ctlw_switches_banks_end_to_end(self):
+        """Two loops, each covered by its own BIT bank, switched by
+        committed ctlw writes (paper Section 7)."""
+        prog = assemble(BANKED_LOOPS)
+        unit = banked_unit(prog)
         f = FunctionalSimulator(prog)
         f.run_reference()
         sim = PipelineSimulator(prog, predictor=NotTakenPredictor(),
