@@ -15,7 +15,9 @@ Protocol (driven by the pipeline):
   depending on the configured forwarding path, Section 5.2); the
   direction bits are refreshed and the counter decremented.
 * ``cancel(reg)`` — the producer was squashed on a wrong path; the
-  counter is decremented without touching the bits.
+  counter is decremented without touching the bits.  Only the
+  out-of-order machine cancels: the in-order pipeline squashes every
+  wrong-path producer before it acquires.
 * ``lookup(reg, cond)`` — fetch-stage predicate read; returns None when
   the counter is non-zero.
 """

@@ -34,11 +34,8 @@ from typing import Dict, Tuple
 from repro.asbr.bit import BITS_PER_ENTRY
 from repro.asbr.bdt import BranchDirectionTable
 from repro.dse.space import DesignPoint
+from repro.frontend.ftq import FTQ_ENTRY_BITS
 from repro.predictors.btb import TARGET_BITS, entry_state_bits
-
-#: FTQ entry cost: fetch pc + predicted next pc + 2 flag bits
-#: (mirrors DecoupledFrontend.state_bits).
-FTQ_ENTRY_BITS = 30 + 30 + 2
 from repro.power import estimate_energy_from_stats
 from repro.predictors import make_predictor
 from repro.sim.pipeline import PipelineStats

@@ -227,21 +227,15 @@ class FaultInjector:
         bdt.release = release
         if site.structure == BDT_CNT:
             # counter faults also clear on the counter's own updates
+            # (the in-order machine never cancels a claim)
             base_acquire = bdt.acquire
-            base_cancel = bdt.cancel
 
             def acquire(r):
                 base_acquire(r)
                 if r == reg:
                     dirty[0] = False
 
-            def cancel(r):
-                base_cancel(r)
-                if r == reg:
-                    dirty[0] = False
-
             bdt.acquire = acquire
-            bdt.cancel = cancel
 
     def _guard_bit(self, sim, banked, site) -> None:
         _bank, target = self._find_bit_entry(banked, site.index)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 from repro.frontend.btb import TwoLevelBTB
-from repro.frontend.ftq import FetchTargetQueue, FTQEntry
+from repro.frontend.ftq import FTQ_ENTRY_BITS, FetchTargetQueue, FTQEntry
 from repro.isa.opcodes import Kind
 from repro.telemetry.events import (
     BTB_HIT,
@@ -353,8 +353,7 @@ class DecoupledFrontend:
     @property
     def state_bits(self) -> int:
         """SRAM of the new structures: BTB hierarchy + FTQ payload."""
-        # one FTQ entry holds two word-aligned PCs and two flags
-        return self.btb.state_bits + self.ftq.depth * (30 + 30 + 2)
+        return self.btb.state_bits + self.ftq.depth * FTQ_ENTRY_BITS
 
 
 def attach_frontend(sim, config) -> DecoupledFrontend:

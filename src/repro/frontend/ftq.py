@@ -33,6 +33,12 @@ class FTQEntry:
         return "FTQEntry(pc=0x%x, next=0x%x)" % (self.pc, self.pred_next_pc)
 
 
+#: SRAM price of one entry, in the front end's ``state_bits`` and the
+#: DSE cost: two word-aligned PCs plus two flag bits that the entry no
+#: longer holds (dropping them would move every front-end point's cost)
+FTQ_ENTRY_BITS = 30 + 30 + 2
+
+
 class FetchTargetQueue:
     """Bounded FIFO of :class:`FTQEntry` with an unresolved-redirect gate."""
 

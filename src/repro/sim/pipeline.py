@@ -434,15 +434,16 @@ class PipelineSimulator:
                                   data={"why": "ex"}))
 
     def _squash(self, slot: Optional[_Slot]) -> None:
+        """Drop a wrong-path slot.  It holds no BDT claim: a slot
+        acquires in its ID work, and both squashes (an ID-stage jump
+        squashing IF, an EX redirect squashing ID and IF) run before
+        that cycle's ID work."""
         if slot is None:
             return
         self.stats.squashed += 1
         if self._emit is not None:
             self._emit(TraceEvent(self.stats.cycles, SQUASH, slot.pc,
                                   slot.seq))
-        if self.asbr is not None and slot.acquired_reg is not None:
-            self.asbr.producer_squashed(slot.acquired_reg)
-            slot.acquired_reg = None
 
     # ==================================================================
     # fetch

@@ -28,10 +28,6 @@ MAX_SAMPLES = 16384
 _ASM_DIR = os.path.join(os.path.dirname(__file__), "asm")
 
 
-def _to_u16(v: int) -> int:
-    return v & 0xFFFF
-
-
 def _from_s16(v: int) -> int:
     v &= 0xFFFF
     return v - 0x10000 if v & 0x8000 else v

@@ -166,10 +166,10 @@ class TestWrongPathInteraction:
         BDT clean.  The taken ``bnez r8`` resolves in EX while the
         wrong-path ``addiu r9`` sits in its first ID cycle, and EX work
         runs before ID work, so the producer is squashed before it
-        acquires: the validity-counter cancel path
-        (``ASBRUnit.producer_squashed``) is never called.  The compiled
-        loop, which reads the BDT off the latches, ends in the
-        reference loop's state."""
+        acquires: no squashed slot holds a claim, which is why the
+        in-order machine has no cancel path.  The compiled loop, which
+        reads the BDT off the latches, ends in the reference loop's
+        state."""
         prog = assemble("""
 .text
 main:
@@ -207,12 +207,18 @@ t:
         assert unit.bdt.entries[9].counter == 0
 
         ref = build()
-        cancels = []
-        cancel = ref.asbr.producer_squashed
-        ref.asbr.producer_squashed = \
-            lambda reg: (cancels.append(reg), cancel(reg))
+        squashed = []
+        squash = ref._squash
+
+        def watch(slot):
+            if slot is not None:
+                squashed.append((slot.pc, slot.acquired_reg))
+            squash(slot)
+
+        ref._squash = watch
         ref_stats = ref.run_reference()
-        assert cancels == []
+        assert (prog.labels["good"] - 4, None) in squashed
+        assert all(reg is None for _pc, reg in squashed)
         assert dataclasses.asdict(stats) == dataclasses.asdict(ref_stats)
         assert dataclasses.asdict(unit.stats) == \
             dataclasses.asdict(ref.asbr.stats)

@@ -35,7 +35,7 @@ import pytest
 from repro.asbr import ASBRUnit, FoldabilityError, extract_branch_info
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import OoOConfig, OoOSimulator
-from repro.sim.pipeline import PipelineSimulator
+from repro.sim.pipeline import PipelineConfig, PipelineSimulator
 from repro.testing import random_program
 
 #: full sweep (nightly); the generator seeds its own RNG so each seed is
@@ -115,11 +115,14 @@ def _check_asbr_engines(seed, update):
     reference pipeline's full stats bit-for-bit.  This drives the
     superblock fold check, the inlined BDT transitions and the fold
     transfer chains against random programs rather than codecs, across
-    every BDT update point."""
+    every BDT update point.  The compiled run's budget is twice the
+    reference's cycles, so a wrong fold that never halts fails fast."""
     prog = random_program(seed, units=14)
     ref = PipelineSimulator(prog, asbr=_asbr_for(prog, update))
     pstats = dataclasses.asdict(ref.run_reference())
-    sim = PipelineSimulator(prog, asbr=_asbr_for(prog, update))
+    sim = PipelineSimulator(prog, asbr=_asbr_for(prog, update),
+                            config=PipelineConfig(
+                                max_cycles=2 * ref.stats.cycles))
     stats = sim.run()
     assert dataclasses.asdict(stats) == pstats, "pipeline stats diverged"
     assert sim.regs.snapshot() == ref.regs.snapshot(), \

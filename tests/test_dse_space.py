@@ -215,14 +215,22 @@ class TestFrontendDimensions:
         assert DesignPoint.from_dict(d) == DesignPoint()
 
     def test_cost_formula_matches_structures(self):
-        from repro.dse.objectives import (FTQ_ENTRY_BITS,
-                                          frontend_cost_bits)
-        from repro.frontend import FetchTargetQueue, TwoLevelBTB
+        """The DSE prices a front end without building one; the price
+        must be what an attached front end reports."""
+        from repro.asm import assemble
+        from repro.dse.objectives import frontend_cost_bits
+        from repro.frontend import FrontendConfig
+        from repro.sim.pipeline import PipelineSimulator
 
-        p = DesignPoint(frontend=True, btb_l1_entries=16,
-                        btb_l2_entries=512, btb_l2_assoc=2, ftq_depth=4)
-        btb = TwoLevelBTB(p.btb_l1_entries, p.btb_l2_entries,
-                          p.btb_l2_assoc)
-        assert frontend_cost_bits(p) == (btb.state_bits
-                                         + p.ftq_depth * FTQ_ENTRY_BITS)
+        prog = assemble(".text\nmain:\n    halt\n")
+        for p in (DesignPoint(frontend=True, btb_l1_entries=16,
+                              btb_l2_entries=512, btb_l2_assoc=2,
+                              ftq_depth=4),
+                  DesignPoint(frontend=True)):
+            frontend = PipelineSimulator(prog, frontend=FrontendConfig(
+                btb_l1_entries=p.btb_l1_entries,
+                btb_l2_entries=p.btb_l2_entries,
+                btb_l2_assoc=p.btb_l2_assoc, ftq_depth=p.ftq_depth,
+                fdip=p.fdip)).frontend
+            assert frontend_cost_bits(p) == frontend.state_bits
         assert frontend_cost_bits(DesignPoint(frontend=False)) == 0
